@@ -18,8 +18,8 @@
 //! a dense factorization is the right tool. For full-array simulations the
 //! solver switches automatically to a sparse LU backend ([`sparse`]) above
 //! [`sparse::SPARSE_THRESHOLD`] unknowns, and chained defect bisections
-//! reuse factorizations through a rank-1 update path and a memcmp-verified
-//! factorization cache (enabled via [`NewtonOptions`]).
+//! reuse factorizations through a rank-1 update path (enabled via
+//! [`NewtonOptions`]).
 //!
 //! # Example
 //!
@@ -46,7 +46,6 @@ pub mod complex;
 pub mod dc;
 pub mod devices;
 pub mod error;
-mod factor_cache;
 pub mod matrix;
 pub mod mna;
 pub mod netlist;

@@ -125,13 +125,6 @@ impl DenseMatrix {
         self.data[offset]
     }
 
-    /// The raw row-major entries — the byte-level view the
-    /// factorization cache hashes and memcmp-verifies against.
-    #[inline]
-    pub(crate) fn raw_data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Computes `self * x`.
     ///
     /// # Panics
@@ -314,9 +307,9 @@ impl LuWorkspace {
         self.lu.n
     }
 
-    /// Copies the held factors out — the factorization cache's
-    /// store-on-miss path. The destination buffers are cleared and
-    /// refilled so a retained cache slot reuses its allocations.
+    /// Copies the held factors out — how the rank-1 path snapshots its
+    /// chord base. The destination buffers are cleared and refilled so
+    /// a held base reuses its allocations.
     pub(crate) fn export_factors(&self, lu: &mut Vec<f64>, perm: &mut Vec<usize>) {
         lu.clear();
         lu.extend_from_slice(&self.lu.data);
@@ -324,9 +317,9 @@ impl LuWorkspace {
         perm.extend_from_slice(&self.perm);
     }
 
-    /// Installs previously exported factors — the cache's hit path.
-    /// Bit-identical to refactoring the same matrix, because the
-    /// stored bytes *are* that factorization.
+    /// Installs previously exported factors — how the rank-1 path
+    /// loads its chord base. Bit-identical to refactoring the same
+    /// matrix, because the stored bytes *are* that factorization.
     pub(crate) fn import_factors(&mut self, n: usize, lu: &[f64], perm: &[usize]) {
         debug_assert_eq!(lu.len(), n * n);
         debug_assert_eq!(perm.len(), n);

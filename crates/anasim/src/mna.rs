@@ -345,8 +345,7 @@ impl StampPlan {
 
     /// The structural FNV fingerprint (kinds, terminals, branch
     /// layout). Two netlists differing only in element *values* share
-    /// it — which is exactly why the factorization cache pairs it with
-    /// [`StampPlan::value_fingerprint`].
+    /// it.
     pub fn structural_fp(&self) -> u64 {
         self.fingerprint
     }
@@ -361,22 +360,6 @@ impl StampPlan {
     /// field docs.
     pub(crate) fn resistor_params(&self) -> &[(usize, Option<usize>, Option<usize>)] {
         &self.resistor_params
-    }
-
-    /// A value-sensitive fingerprint of an assembled matrix: FNV-1a
-    /// over the exact bit patterns of every entry the plan can touch,
-    /// seeded with the order and the structural fingerprint. Two
-    /// assemblies that differ in any touched entry — e.g. the same
-    /// topology at two defect resistances — hash differently (up to
-    /// FNV collisions, which the factorization cache neutralizes with
-    /// a full memcmp on the stored matrix before trusting a hit).
-    pub fn value_fingerprint(&self, matrix: &DenseMatrix) -> u64 {
-        let mut h = fnv(0xcbf2_9ce4_8422_2325u64, matrix.order() as u64);
-        h = fnv(h, self.fingerprint);
-        for &k in &self.touched {
-            h = fnv(h, matrix.get_at_offset(k).to_bits());
-        }
-        h
     }
 
     /// Computes the Newton residual `F(x) = A·x − rhs` through the
@@ -665,46 +648,6 @@ mod tests {
         let b = nl.node("b");
         nl.resistor("R2", a, b, 1.0e3).unwrap();
         assert!(!plan.matches(&nl));
-    }
-
-    #[test]
-    fn value_fingerprint_separates_structurally_identical_netlists() {
-        // Regression for the factorization-cache key: two netlists
-        // differing only in a resistance collide on the structural
-        // fingerprint (values are invisible to it) but must separate
-        // on the value fingerprint of their assembled matrices.
-        let build = |ohms: f64| {
-            let mut nl = Netlist::new();
-            let a = nl.node("a");
-            let b = nl.node("b");
-            nl.vsource("V1", a, Netlist::GND, 1.0);
-            nl.resistor("R1", a, b, ohms).unwrap();
-            nl.resistor("R2", b, Netlist::GND, 1.0e3).unwrap();
-            nl
-        };
-        let nl1 = build(1.0e3);
-        let nl2 = build(2.0e3);
-        let plan1 = StampPlan::build(&nl1);
-        let plan2 = StampPlan::build(&nl2);
-        assert_eq!(
-            plan1.structural_fp(),
-            plan2.structural_fp(),
-            "values must be invisible to the structural fingerprint"
-        );
-        let n = nl1.num_unknowns();
-        let x = vec![0.0; n];
-        let mut m1 = DenseMatrix::zeros(n);
-        let mut m2 = DenseMatrix::zeros(n);
-        let mut rhs = vec![0.0; n];
-        assemble(&nl1, &x, 0.0, 1.0, AnalysisMode::Dc, &mut m1, &mut rhs);
-        assemble(&nl2, &x, 0.0, 1.0, AnalysisMode::Dc, &mut m2, &mut rhs);
-        assert_ne!(
-            plan1.value_fingerprint(&m1),
-            plan2.value_fingerprint(&m2),
-            "a resistance change must move the value fingerprint"
-        );
-        // Identical assemblies hash identically (the cache-hit side).
-        assert_eq!(plan1.value_fingerprint(&m1), plan1.value_fingerprint(&m1));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Damped Newton–Raphson with gmin and source stepping continuation.
 
 use crate::error::Error;
-use crate::factor_cache::{factor_cached, CacheOutcome};
 use crate::mna::{assemble_planned, AnalysisMode};
 use crate::netlist::{Netlist, NodeId};
 use crate::rank1::Prepare;
@@ -44,8 +43,7 @@ pub struct NewtonOptions {
     pub source_stepping: bool,
     /// Enable the low-rank fast path: DC solves reuse a held base LU —
     /// Woodbury-corrected for changed resistor parameters — as a chord
-    /// preconditioner in residual form, and full factorizations consult
-    /// the bit-exact thread-local cache. Falls back to fresh
+    /// preconditioner in residual form. Falls back to fresh
     /// factorization whenever the chord residual stops contracting or
     /// the update is ill-conditioned, so accepted answers always meet
     /// the same `vntol`/`reltol` convergence criterion. Off by default:
@@ -324,16 +322,15 @@ fn newton_stage(
     // held base would not share their fixed point's Jacobian scale).
     // The partitioned path does its own backend selection on the
     // reduced interface system, and assembles into the Schur stores
-    // where neither the chord residual nor the value fingerprint is
-    // available — so both fast paths stay monolithic-only.
+    // where the chord residual is not available — so the chord path
+    // stays monolithic-only.
     let use_sparse = !partitioned && n >= opts.sparse_threshold;
-    // The memcmp-verified cache is safe in any mode (a hit is the
-    // factorization of those exact bytes); the chord path additionally
-    // needs the DC fixed-point structure, so transient steps keep the
-    // cache but never chord.
-    let cache_active =
-        opts.rank1 && !use_sparse && !partitioned && gmin == 0.0 && source_scale == 1.0;
-    let rank1_active = cache_active && matches!(mode, AnalysisMode::Dc);
+    let rank1_active = opts.rank1
+        && !use_sparse
+        && !partitioned
+        && gmin == 0.0
+        && source_scale == 1.0
+        && matches!(mode, AnalysisMode::Dc);
     let mut chord = false;
     if rank1_active {
         match rank1.prepare(netlist, plan) {
@@ -403,26 +400,14 @@ fn newton_stage(
         }
         if !chord && !partitioned {
             let factored = if use_sparse {
-                sparse
-                    .factor(matrix, plan.structural_fp(), plan.touched_offsets())
-                    .map(|()| CacheOutcome::Miss)
-            } else if cache_active {
-                factor_cached(
-                    lu,
-                    matrix,
-                    plan.structural_fp(),
-                    plan.value_fingerprint(matrix),
-                )
+                sparse.factor(matrix, plan.structural_fp(), plan.touched_offsets())
             } else {
-                lu.factor_from(matrix).map(|()| CacheOutcome::Miss)
+                lu.factor_from(matrix)
             };
             match factored {
-                Ok(outcome) => {
-                    if cache_active {
-                        match outcome {
-                            CacheOutcome::Hit => counters.cache_hit += 1,
-                            CacheOutcome::Miss => counters.cache_miss += 1,
-                        }
+                Ok(()) => {
+                    if rank1_active {
+                        counters.factorizations += 1;
                     }
                 }
                 Err(Error::SingularMatrix { pivot_row, .. }) => {
@@ -973,24 +958,11 @@ pub fn solve_with_retry(
     solve_with_retry_in(netlist, opts, x0, mode, policy, &mut scratch)
 }
 
-/// As [`solve_with_retry`], but running every attempt in the
-/// caller-provided [`SolveScratch`]. Results are bit-identical to
-/// [`solve_with_retry`]; only the allocation profile differs.
-///
-/// # Errors
-///
-/// As [`solve_with_retry`].
 /// Publishes the scratch's accumulated fast-path counters to `obs`
 /// and resets them. One flush per retry-ladder solve keeps the
 /// per-iteration hot path free of atomic traffic.
 pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
     let c = scratch.counters.take();
-    if c.cache_hit > 0 {
-        obs::counter_add("refactor.cache.hit", c.cache_hit);
-    }
-    if c.cache_miss > 0 {
-        obs::counter_add("refactor.cache.miss", c.cache_miss);
-    }
     if c.rank1_applied > 0 {
         obs::counter_add("rank1.applied", c.rank1_applied);
     }
@@ -1006,14 +978,21 @@ pub(crate) fn flush_fast_path_counters(scratch: &mut SolveScratch) {
     if c.schur_interface_unknowns > 0 {
         obs::counter_add("schur.interface_unknowns", c.schur_interface_unknowns);
     }
-    // Thread-local mirror of the work counters: cache misses are the
-    // factorizations actually performed; a hit imports stored factors
-    // and a chord step replaces the factorization outright.
-    if c.cache_miss > 0 || c.rank1_applied > 0 {
-        obs::tally_fast_path(c.cache_miss, c.rank1_applied);
+    // Thread-local mirror of the work counters: the factorizations the
+    // rank-1 stages actually performed, and the chord steps that
+    // replaced one outright.
+    if c.factorizations > 0 || c.rank1_applied > 0 {
+        obs::tally_fast_path(c.factorizations, c.rank1_applied);
     }
 }
 
+/// As [`solve_with_retry`], but running every attempt in the
+/// caller-provided [`SolveScratch`]. Results are bit-identical to
+/// [`solve_with_retry`]; only the allocation profile differs.
+///
+/// # Errors
+///
+/// As [`solve_with_retry`].
 pub fn solve_with_retry_in(
     netlist: &Netlist,
     opts: &NewtonOptions,
@@ -1585,7 +1564,7 @@ mod tests {
                 // iteration (it has no base yet); the chained rest of
                 // the run is what the fast path must keep factor-free.
                 let c = fast_scratch.counters;
-                factorizations_after_first = c.cache_hit + c.cache_miss;
+                factorizations_after_first = c.factorizations;
             }
         }
         let c = fast_scratch.counters;
@@ -1594,8 +1573,7 @@ mod tests {
             "chord steps must replace refactorizations, counters {c:?}"
         );
         assert_eq!(
-            c.cache_hit + c.cache_miss,
-            factorizations_after_first,
+            c.factorizations, factorizations_after_first,
             "warm chained solves must run entirely on chord steps, counters {c:?}"
         );
         assert_eq!(

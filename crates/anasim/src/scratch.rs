@@ -12,15 +12,14 @@ use crate::schur::{Partition, SchurState};
 use crate::sparse::SparseLu;
 
 /// Per-solve fast-path accounting, accumulated while the Newton loop
-/// runs and flushed to the `obs` counters (`refactor.cache.{hit,miss}`,
-/// `rank1.{applied,fallback}`) once per retry-ladder solve, keeping the
-/// per-iteration hot path free of atomics.
+/// runs and flushed to the `obs` counters (`rank1.{applied,fallback}`,
+/// `schur.*`) once per retry-ladder solve, keeping the per-iteration
+/// hot path free of atomics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveCounters {
-    /// Factorizations served bit-exactly from the thread-local cache.
-    pub cache_hit: u64,
-    /// Factorizations that ran the full elimination (and were stored).
-    pub cache_miss: u64,
+    /// Dense factorizations run by Newton stages with the rank-1 path
+    /// enabled — the work the chord steps exist to avoid.
+    pub factorizations: u64,
     /// Newton iterations answered by a Woodbury chord step instead of
     /// a fresh factorization.
     pub rank1_applied: u64,
@@ -177,7 +176,7 @@ impl SolveScratch {
     }
 
     /// Flushes the accumulated fast-path counters to the `obs` layer
-    /// (`refactor.cache.*`, `rank1.*`, `schur.*`). Exposed for callers
+    /// (`rank1.*`, `schur.*`). Exposed for callers
     /// that drive [`crate::schur::solve_array`] directly instead of
     /// going through the retry ladder, which flushes per attempt.
     pub fn flush_obs_counters(&mut self) {

@@ -3,13 +3,15 @@
 //! [`Solution`] vector — nothing per iteration. Verified with a counting
 //! global allocator: a cold solve and a warm solve run very different
 //! iteration counts, so equal allocation counts mean the per-iteration
-//! slope is exactly zero.
+//! slope is exactly zero. The allocator counts per thread, so tests
+//! running concurrently do not pollute each other's measurements.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use anasim::devices::mosfet::MosParams;
 use anasim::mna::AnalysisMode;
+use anasim::netlist::ParamId;
 use anasim::newton::solve_with_scratch;
 use anasim::{
     solve_array, ArraySolveOptions, Netlist, NewtonOptions, NodeId, Partition, SolveScratch,
@@ -17,21 +19,36 @@ use anasim::{
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread. Per-thread, so a test's
+    /// measurement never sees the allocations of tests running
+    /// concurrently; the const initializer keeps the counter itself
+    /// allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// so the caller's `GlobalAlloc` obligations carry over as they are;
+// the count touches only a const-initialized thread-local `Cell`,
+// which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -43,8 +60,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A CMOS inverter biased at its switching threshold: nonlinear enough
@@ -112,6 +130,96 @@ fn plain_newton_path_allocates_nothing_per_iteration() {
         cold_allocs <= 2,
         "a scratch solve may only allocate its result, got {cold_allocs}"
     );
+}
+
+/// An inverter driving a resistive load — the load is the parameter a
+/// chained (bisection-like) sweep perturbs, exactly the single-resistor
+/// update shape the rank-1 chord path is built for.
+fn loaded_inverter() -> (Netlist, ParamId) {
+    let mut nl = Netlist::new();
+    let vdd = nl.node("vdd");
+    let input = nl.node("in");
+    let out = nl.node("out");
+    nl.vsource("VDD", vdd, Netlist::GND, 1.1);
+    nl.vsource("VIN", input, Netlist::GND, 0.4);
+    nl.mosfet("MP", out, input, vdd, MosParams::pmos(4.0e-4, 0.45))
+        .expect("library PMOS card validates");
+    nl.mosfet(
+        "MN",
+        out,
+        input,
+        Netlist::GND,
+        MosParams::nmos(4.0e-4, 0.45),
+    )
+    .expect("library NMOS card validates");
+    let load = nl
+        .resistor("RL", out, Netlist::GND, 100.0e3)
+        .expect("valid resistance, unique name");
+    (nl, load)
+}
+
+#[test]
+fn rank1_chord_path_allocates_nothing_per_iteration() {
+    // Warm chained DC solves with the rank-1 path on advance on chord
+    // steps against the held base factors. The base snapshot, the
+    // Woodbury buffers and the residual all live in the scratch, so
+    // once a first chained solve has sized them a chord-only re-solve
+    // allocates only its returned Solution, whatever its iteration
+    // count.
+    let (mut nl, load) = loaded_inverter();
+    let opts = NewtonOptions {
+        rank1: true,
+        ..NewtonOptions::default()
+    };
+    let mut scratch = SolveScratch::new();
+    let ohms = |step: u32| 100.0e3 / (1.0 + f64::from(step));
+
+    // Cold solve: full factorizations, snapshots the chord base.
+    let mut x = solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch)
+        .expect("loaded inverter solves")
+        .into_raw();
+    // First chained solve sizes the Woodbury buffers.
+    nl.set_param(load, ohms(1));
+    x = solve_with_scratch(&nl, &opts, Some(&x), AnalysisMode::Dc, &mut scratch)
+        .expect("chained solve converges")
+        .into_raw();
+
+    let warm_counters = scratch.counters();
+    let mut measured = Vec::with_capacity(6);
+    for step in 2..8 {
+        nl.set_param(load, ohms(step));
+        let before = allocations();
+        let sol = solve_with_scratch(&nl, &opts, Some(&x), AnalysisMode::Dc, &mut scratch)
+            .expect("chained solve converges");
+        measured.push((sol.iterations, allocations() - before));
+        x = sol.into_raw();
+    }
+
+    let counters = scratch.counters();
+    assert!(
+        counters.rank1_applied > warm_counters.rank1_applied,
+        "the measured solves must take chord steps, counters {counters:?}"
+    );
+    assert_eq!(
+        counters.factorizations, warm_counters.factorizations,
+        "the measured solves must run on chord steps alone, counters {counters:?}"
+    );
+    let iterations: Vec<usize> = measured.iter().map(|&(it, _)| it).collect();
+    assert!(
+        iterations.iter().any(|&it| it > 1),
+        "some measured solve must iterate more than once: {iterations:?}"
+    );
+    let (_, first_allocs) = measured[0];
+    for &(iters, allocs) in &measured {
+        assert_eq!(
+            allocs, first_allocs,
+            "allocations must not scale with iteration count: {measured:?}"
+        );
+        assert!(
+            allocs <= 2,
+            "a chord solve of {iters} iterations may only allocate its result, got {allocs}"
+        );
+    }
 }
 
 /// A chain of cross-coupled latches sharing one supply rail — the

@@ -9,37 +9,36 @@
 //! passed: a baseline stamped `-dirty` cannot be reproduced from any
 //! commit, so it must never be the committed reference.
 //!
-//! Five variants of the same campaign are timed back to back:
+//! Four variants of the same campaign are timed back to back, each on
+//! one worker thread (`jobs: 1`), so every count below is a property
+//! of the solver rather than of the host's core count:
 //!
-//! * `sequential_cold` — one worker, every Newton solve starts from the
-//!   cold DC guess (`jobs: 1`, `warm_start: false`, no chained seeds);
-//!   this is the pre-executor behaviour and the reference point;
-//! * `sequential_warm` — one worker, each grid cell's solves seeded
-//!   from the healthy converged state of its (case-study, PVT)
-//!   condition (`jobs: 1`, `warm_start: true`);
-//! * `parallel_warm` — warm starts fanned across every available core
-//!   (`jobs: 0`);
-//! * `parallel_warm_chained` — warm starts plus bisection-chained
+//! * `sequential_cold` — every Newton solve starts from the cold DC
+//!   guess (`warm_start: false`, no chained seeds); this is the
+//!   pre-executor behaviour and the reference point;
+//! * `sequential_warm` — each grid cell's solves seeded from the
+//!   healthy converged state of its (case-study, PVT) condition
+//!   (`warm_start: true`);
+//! * `sequential_chained` — warm starts plus bisection-chained
 //!   seeding: inside every resistance search each probe seeds Newton
 //!   from the *nearest previously converged probe* in log-resistance
 //!   (`chain_seeds: true`, the library default);
 //! * `rank1_chained` — chained seeding plus the rank-1/chord fast path
 //!   (`rank1: true`, the campaign default): chained probes advance on
 //!   chord steps against a held LU factorization instead of
-//!   refactoring, and full factorizations consult a bit-exact cache.
-//!   Its solver block adds the `cache_hits`/`cache_misses`/
+//!   refactoring. Its solver block adds the `factorizations`/
 //!   `rank1_applied`/`rank1_fallbacks` counters the CI gate
-//!   thresholds. The first four variants pin `rank1: false` so their
+//!   thresholds. The first three variants pin `rank1: false` so their
 //!   numbers stay comparable to the v3 history.
 //!
-//! A sixth, fully deterministic `sparse_ladder` pseudo-variant solves a
+//! A fully deterministic `sparse_ladder` pseudo-variant solves a
 //! 150-segment resistor ladder (above `anasim::sparse::SPARSE_THRESHOLD`
 //! unknowns, so the Newton path auto-selects the sparse backend) and
 //! records `unknowns`, `iterations` and `lu_nnz` — a host-independent
 //! fill-in fingerprint that catches ordering or pivoting regressions in
 //! the sparse factorization.
 //!
-//! A seventh `full_array` pseudo-variant solves a 512×8 retention array
+//! A `full_array` pseudo-variant solves a 512×8 retention array
 //! with three bridged cells through the hierarchical block-Schur path
 //! and the monolithic sparse path, asserts both land on the same node
 //! voltages, and records the factorized-unknowns `reduction_ratio`
@@ -50,20 +49,18 @@
 //! so a future change that regresses the campaign (more Newton
 //! iterations, deeper rescue-ladder use, lower throughput) shows up as
 //! a diff against the committed numbers. Timing-derived fields vary by
-//! host — `host_cores` records how many cores the committed numbers
-//! had to work with (on a single-core runner `parallel_warm` cannot
-//! beat `sequential_warm`); the iteration/retry totals are
-//! deterministic for a given variant.
+//! host; the iteration/retry/factorization totals are deterministic
+//! for a given variant.
 //!
 //! `allocs_per_iteration` is measured in-process with a counting
-//! global allocator: the heap-allocation count of a long cold Newton
-//! solve minus that of a short warm solve, divided by the iteration
-//! difference. The scratch-based solver core keeps this at exactly
+//! global allocator that counts the calling thread's allocations only:
+//! the heap-allocation count of a long cold Newton solve minus that of
+//! a short warm solve, divided by the iteration difference. The scratch-based solver core keeps this at exactly
 //! zero — every per-iteration buffer lives in the reused
 //! [`anasim::SolveScratch`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use anasim::devices::mosfet::MosParams;
 use anasim::mna::AnalysisMode;
@@ -77,21 +74,39 @@ use sram::{ActiveCell, ArraySpec, CellInstance, StoredBit};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread. Per-thread, so a
+    /// measurement never sees another thread's allocations; the const
+    /// initializer keeps the counter itself allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// so the caller's `GlobalAlloc` obligations carry over as they are;
+// the count touches only a const-initialized thread-local `Cell`,
+// which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -133,15 +148,15 @@ fn measure_allocs_per_iteration() -> f64 {
         solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch).expect("solves");
     let x0 = first.raw().to_vec();
 
-    let before_cold = ALLOCATIONS.load(Ordering::Relaxed);
+    let before_cold = allocations();
     let cold =
         solve_with_scratch(&nl, &opts, None, AnalysisMode::Dc, &mut scratch).expect("solves cold");
-    let cold_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_cold;
+    let cold_allocs = allocations() - before_cold;
 
-    let before_warm = ALLOCATIONS.load(Ordering::Relaxed);
+    let before_warm = allocations();
     let warm = solve_with_scratch(&nl, &opts, Some(&x0), AnalysisMode::Dc, &mut scratch)
         .expect("solves warm");
-    let warm_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before_warm;
+    let warm_allocs = allocations() - before_warm;
 
     assert!(
         warm.iterations < cold.iterations,
@@ -152,7 +167,6 @@ fn measure_allocs_per_iteration() -> f64 {
 
 struct Variant {
     name: &'static str,
-    jobs: usize,
     warm_start: bool,
     chain_seeds: bool,
     rank1: bool,
@@ -313,11 +327,15 @@ fn run_full_array(rows: usize) -> Json {
 fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
     obs::reset();
     let mut opts = Table2Options::quick();
-    opts.jobs = v.jobs;
+    // One worker runs the campaign inline on this thread, so the
+    // thread-local solver tally sees all of its work.
+    opts.jobs = 1;
     opts.warm_start = v.warm_start;
     opts.characterize.chain_seeds = v.chain_seeds;
     opts.characterize.rank1 = v.rank1;
+    let tally_before = obs::tally();
     let report = table2::run(&opts).expect("quick campaign solves");
+    let work = obs::tally().since(&tally_before);
     obs::flush();
     let snapshot = obs::snapshot();
     let counter = |name: &str| *snapshot.counters.get(name).unwrap_or(&0);
@@ -338,7 +356,7 @@ fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
         hist_sum("anasim.solve.iterations"),
     );
     Json::obj([
-        ("jobs".to_string(), Json::Num(v.jobs as f64)),
+        ("jobs".to_string(), Json::Num(1.0)),
         ("warm_start".to_string(), Json::Bool(v.warm_start)),
         ("chain_seeds".to_string(), Json::Bool(v.chain_seeds)),
         ("rank1".to_string(), Json::Bool(v.rank1)),
@@ -411,12 +429,8 @@ fn run_variant(v: &Variant, allocs_per_iteration: f64) -> Json {
                     Json::Num(counter("anasim.transient.steps") as f64),
                 ),
                 (
-                    "cache_hits".to_string(),
-                    Json::Num(counter("refactor.cache.hit") as f64),
-                ),
-                (
-                    "cache_misses".to_string(),
-                    Json::Num(counter("refactor.cache.miss") as f64),
+                    "factorizations".to_string(),
+                    Json::Num(work.factorizations as f64),
                 ),
                 (
                     "rank1_applied".to_string(),
@@ -463,35 +477,24 @@ fn main() {
     let variants = [
         Variant {
             name: "sequential_cold",
-            jobs: 1,
             warm_start: false,
             chain_seeds: false,
             rank1: false,
         },
         Variant {
             name: "sequential_warm",
-            jobs: 1,
             warm_start: true,
             chain_seeds: false,
             rank1: false,
         },
         Variant {
-            name: "parallel_warm",
-            jobs: 0,
-            warm_start: true,
-            chain_seeds: false,
-            rank1: false,
-        },
-        Variant {
-            name: "parallel_warm_chained",
-            jobs: 0,
+            name: "sequential_chained",
             warm_start: true,
             chain_seeds: true,
             rank1: false,
         },
         Variant {
             name: "rank1_chained",
-            jobs: 1,
             warm_start: true,
             chain_seeds: true,
             rank1: true,
@@ -509,15 +512,11 @@ fn main() {
     let doc = Json::obj([
         (
             "schema".to_string(),
-            Json::Str("lp-sram-suite/bench-baseline/v5".to_string()),
+            Json::Str(obs::compare::BENCH_SCHEMA_V6.to_string()),
         ),
         ("artifact".to_string(), Json::Str("table2".to_string())),
         ("mode".to_string(), Json::Str("quick".to_string())),
         ("version".to_string(), Json::Str(obs::describe_version())),
-        (
-            "host_cores".to_string(),
-            Json::Num(drftest::available_jobs() as f64),
-        ),
         ("variants".to_string(), Json::obj(results)),
     ]);
     std::fs::write(&out, doc.to_pretty()).expect("baseline written");

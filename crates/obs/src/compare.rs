@@ -2,7 +2,7 @@
 //!
 //! [`MetricSet::from_json_str`] flattens either a
 //! [`RunManifest`](crate::manifest::RunManifest) or a
-//! `lp-sram-suite/bench-baseline/v3` document into a flat
+//! `lp-sram-suite/bench-baseline/v3`–`v6` document into a flat
 //! `name → value` map of deterministic-ish metrics;
 //! [`Report::build`] diffs two such sets and applies
 //! [`Threshold`]s (`--fail-over iterations_total=10%`) to decide the
@@ -29,20 +29,28 @@ use crate::manifest::MANIFEST_SCHEMA;
 /// committed baselines keep working.
 pub const BENCH_SCHEMA: &str = "lp-sram-suite/bench-baseline/v3";
 
-/// Schema tag of current bench-baseline documents (written by
-/// `bench --bin table2_baseline`): adds the `rank1_chained` variant,
-/// per-variant `rank1` flags with `cache_hits`/`cache_misses`/
-/// `rank1_applied`/`rank1_fallbacks` solver counters, and the
-/// `sparse_ladder` pseudo-variant (`unknowns`/`iterations`/`lu_nnz`).
+/// Schema tag of v4 bench-baseline documents: adds the
+/// `rank1_chained` variant, per-variant `rank1` flags with
+/// factorization-cache and `rank1_applied`/`rank1_fallbacks` solver
+/// counters, and the `sparse_ladder` pseudo-variant
+/// (`unknowns`/`iterations`/`lu_nnz`).
 pub const BENCH_SCHEMA_V4: &str = "lp-sram-suite/bench-baseline/v4";
 
-/// Schema tag of current bench-baseline documents: adds the
+/// Schema tag of v5 bench-baseline documents: adds the
 /// `full_array` pseudo-variant benchmarking the hierarchical
 /// block-Schur array solve against the monolithic sparse path
 /// (`interface_unknowns`, `schur_blocks_shared`/`schur_blocks_rebuilt`,
 /// `factorized_unknowns_schur`/`factorized_unknowns_monolithic`, and
 /// the headline `reduction_ratio`).
 pub const BENCH_SCHEMA_V5: &str = "lp-sram-suite/bench-baseline/v5";
+
+/// Schema tag of current bench-baseline documents (written by
+/// `bench --bin table2_baseline`): every campaign variant runs on one
+/// thread (`parallel_warm` is gone, `parallel_warm_chained` becomes
+/// `sequential_chained`, no `host_cores`), and the factorization-cache
+/// counters give way to one `factorizations` solver counter — the
+/// dense factorizations the `rank1_chained` variant still performs.
+pub const BENCH_SCHEMA_V6: &str = "lp-sram-suite/bench-baseline/v6";
 
 /// Schema tag of the JSON compare report.
 pub const COMPARE_SCHEMA: &str = "lp-sram-suite/compare/v1";
@@ -67,7 +75,7 @@ impl MetricSet {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(MANIFEST_SCHEMA) => Ok(flatten_manifest(&doc)),
-            Some(schema @ (BENCH_SCHEMA | BENCH_SCHEMA_V4 | BENCH_SCHEMA_V5)) => {
+            Some(schema @ (BENCH_SCHEMA | BENCH_SCHEMA_V4 | BENCH_SCHEMA_V5 | BENCH_SCHEMA_V6)) => {
                 Ok(flatten_bench(&doc, schema))
             }
             Some(other) => Err(format!("unsupported schema `{other}`")),
@@ -503,6 +511,34 @@ mod tests {
         assert!(r
             .missing_in_old
             .contains(&"full_array.reduction_ratio".into()));
+    }
+
+    #[test]
+    fn v6_documents_flatten_the_factorization_counter() {
+        let text = r#"{
+  "schema": "lp-sram-suite/bench-baseline/v6",
+  "artifact": "table2",
+  "variants": {
+    "sequential_chained": {
+      "jobs": 1, "rank1": false,
+      "solver": {"iterations_total": 28839, "factorizations": 0}
+    },
+    "rank1_chained": {
+      "jobs": 1, "rank1": true,
+      "solver": {"iterations_total": 32725, "factorizations": 9216,
+                 "rank1_applied": 700, "rank1_fallbacks": 2}
+    }
+  }
+}"#;
+        let m = MetricSet::from_json_str(text).unwrap();
+        assert_eq!(m.schema, BENCH_SCHEMA_V6);
+        assert_eq!(m.metrics["rank1_chained.solver.factorizations"], 9216.0);
+        let t = Threshold::parse("factorizations=10%").unwrap();
+        assert!(t.matches("rank1_chained.solver.factorizations"));
+        // v6 still compares against older baselines.
+        let v3 = MetricSet::from_json_str(&bench_doc(29480)).unwrap();
+        let r = Report::build(&v3, &m, &[]);
+        assert_eq!(r.exit_code(), 0);
     }
 
     #[test]

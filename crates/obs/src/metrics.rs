@@ -353,10 +353,10 @@ pub struct SolverTally {
     pub iterations: u64,
     /// Whole-solve retries recorded on this thread so far.
     pub retries: u64,
-    /// Full LU factorizations the solver's reuse fast path actually
-    /// performed (its cache misses) on this thread so far. Zero when
-    /// the fast path is disabled — the plain solver factors once per
-    /// iteration without reporting here.
+    /// Full LU factorizations the solver ran with its rank-1 fast
+    /// path enabled on this thread so far. Zero when the fast path is
+    /// disabled — the plain solver factors once per iteration without
+    /// reporting here.
     pub factorizations: u64,
     /// Chord (held-factorization) steps that replaced a full
     /// factorization on this thread so far.

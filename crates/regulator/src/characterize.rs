@@ -48,12 +48,15 @@ pub struct CharacterizeOptions {
     /// Solve DC probes through the rank-1/chord fast path: chained
     /// bisection steps reuse a held LU factorization
     /// (Woodbury-corrected for the changed defect/load resistances)
-    /// instead of refactoring every Newton iteration, and full
-    /// factorizations consult a bit-exact cache. Answers stay within
-    /// solver tolerance of the dense path — far inside the mV-scale
-    /// margins of the retention criterion — so Table II output is
-    /// unchanged. On by default; turn off to reproduce the dense
-    /// solver exactly.
+    /// instead of refactoring every Newton iteration. Each accepted
+    /// probe meets the dense path's convergence criterion, but the two
+    /// paths are not bit-identical. Measured on the quick Table II
+    /// search at typ/1.0 V/{25, 125} °C (85 cells), the minimum
+    /// resistances and their PVT conditions are identical, while the
+    /// diagnostic `vddcc` at the failing probe differs by up to 0.5 mV
+    /// (Df3–Df5 × CS2–CS5 at 125 °C). The printed table, which shows
+    /// resistances only, is unchanged. On by default; turn off to
+    /// reproduce the dense solver exactly.
     pub rank1: bool,
 }
 
@@ -654,6 +657,7 @@ mod tests {
         let counter =
             |snap: &obs::Snapshot, name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let before = obs::snapshot();
+        let tally_before = obs::tally();
         let r = min_resistance(
             &RegulatorDesign::lp40nm(),
             pvt,
@@ -672,9 +676,11 @@ mod tests {
             "chained probes never took a chord step: {:?}",
             after.counters
         );
+        // The thread-local tally is exact: this thread ran the search.
+        let work = obs::tally().since(&tally_before);
         assert!(
-            delta("refactor.cache.miss") + delta("refactor.cache.hit") >= 1,
-            "the cold first solve must consult the factorization cache"
+            work.factorizations >= 1,
+            "the cold first solve must run a dense factorization"
         );
     }
 

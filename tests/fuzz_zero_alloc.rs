@@ -1,13 +1,11 @@
 //! Zero-allocation contract under fuzzed topologies: for *any*
 //! ERC-clean generated netlist (not just the hand-written inverter in
 //! `anasim`'s own allocation test), a sized scratch solve allocates at
-//! most its returned `Solution`.
-//!
-//! Single test in this binary on purpose — the counting allocator is
-//! process-global, and a concurrent test would pollute the counts.
+//! most its returned `Solution`. The counting allocator counts the
+//! measuring thread only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use anasim::mna::AnalysisMode;
 use anasim::newton::solve_with_scratch;
@@ -17,21 +15,36 @@ use drill::Rng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread. Per-thread, so a test's
+    /// measurement never sees the allocations of tests running
+    /// concurrently; the const initializer keeps the counter itself
+    /// allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// so the caller's `GlobalAlloc` obligations carry over as they are;
+// the count touches only a const-initialized thread-local `Cell`,
+// which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -43,8 +56,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
