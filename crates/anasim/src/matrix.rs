@@ -1,8 +1,12 @@
 //! Dense matrix and LU factorization with partial pivoting.
 //!
-//! The MNA systems assembled by this crate are tiny (tens of unknowns),
-//! so a dense O(n³) factorization outperforms any sparse scheme and keeps
-//! the crate dependency-free.
+//! The MNA systems solved here, below
+//! [`SPARSE_THRESHOLD`](crate::sparse::SPARSE_THRESHOLD) unknowns, are
+//! small but mostly zero: the 48-unknown regulator Jacobian holds ~150
+//! nonzeros out of 2,304 entries. The factors live in a dense row-major
+//! buffer; the elimination updates only the nonzero columns of each
+//! pivot row, with the arithmetic of the dense loop, so the results are
+//! bit-identical to it. The substitutions run over contiguous slices.
 
 use crate::error::Error;
 
@@ -148,10 +152,14 @@ impl DenseMatrix {
     /// Returns [`Error::SingularMatrix`] when some column's best pivot
     /// is negligible relative to its own row (see [`REL_PIVOT_TOL`]),
     /// which for MNA systems almost always means a floating node.
-    pub fn into_lu(mut self) -> Result<LuFactors, Error> {
-        let mut perm: Vec<usize> = (0..self.n).collect();
-        factor_in_place(&mut self, &mut perm)?;
-        Ok(LuFactors { lu: self, perm })
+    pub fn into_lu(self) -> Result<LuFactors, Error> {
+        let mut ws = LuWorkspace {
+            perm: (0..self.n).collect(),
+            lu: self,
+            ..LuWorkspace::default()
+        };
+        factor_in_place(&mut ws.lu, &mut ws.perm, &mut ws.cols)?;
+        Ok(LuFactors { ws })
     }
 }
 
@@ -159,16 +167,40 @@ impl DenseMatrix {
 /// [`LuWorkspace::factor_from`]: Doolittle LU with partial pivoting,
 /// overwriting `lu` with the packed factors and `perm` with the row
 /// permutation. `perm` must enter as the identity permutation.
-fn factor_in_place(lu: &mut DenseMatrix, perm: &mut [usize]) -> Result<(), Error> {
+///
+/// Step `k` updates the rows whose multiplier is nonzero, as the dense
+/// loop always did, but within them only the columns where the pivot
+/// row is nonzero, listed in `cols` during the row-max scan.
+/// The result is bit-identical to updating every remaining entry:
+///
+/// - a skipped entry `a` would have become `a − f·(±0)`, which is `a`
+///   for a finite multiplier `f` unless `a` is −0.0;
+/// - the elimination never creates a −0.0 in the active submatrix
+///   (`a − p` is −0.0 only when `a` already is), and MNA assembly
+///   accumulates every stamp into +0.0, so no −0.0 is ever there;
+/// - a multiplier that is not finite (a subnormal pivot makes
+///   `1/pivot` infinite) takes the full-row update, so `∞·0 = NaN`
+///   lands exactly where the dense loop puts it.
+///
+/// A matrix handed in with −0.0 entries still factors to values equal
+/// under `==`; only the sign of some zero entries can then differ.
+fn factor_in_place(
+    lu: &mut DenseMatrix,
+    perm: &mut [usize],
+    cols: &mut Vec<usize>,
+) -> Result<(), Error> {
     let n = lu.n;
     debug_assert_eq!(perm.len(), n);
+    cols.clear();
+    cols.reserve(n);
+    let a = &mut lu.data[..];
     for k in 0..n {
         // Partial pivoting: bring the largest remaining entry of
         // column k to the diagonal.
         let mut pivot_row = k;
-        let mut pivot_val = lu.get(k, k).abs();
+        let mut pivot_val = a[k * n + k].abs();
         for r in (k + 1)..n {
-            let v = lu.get(r, k).abs();
+            let v = a[r * n + k].abs();
             if v > pivot_val {
                 pivot_val = v;
                 pivot_row = r;
@@ -178,15 +210,20 @@ fn factor_in_place(lu: &mut DenseMatrix, perm: &mut [usize]) -> Result<(), Error
         // meaningful fraction of its own row's remaining mass. The
         // scan runs over the *pivot row's* active columns (k..n) in
         // its pre-swap position, so no per-factorization scales buffer
-        // is needed and the zero-allocation contract holds. Written as
-        // a negated `>` so a 0-vs-0 row (all-zero matrix) stays
-        // singular at the same `pivot_row` the old absolute test
-        // reported.
+        // is needed, and it lists the row's nonzero columns right of
+        // the diagonal (U row k). Written as a negated `>` so a 0-vs-0
+        // row (all-zero matrix) stays singular at the same `pivot_row`
+        // the old absolute test reported.
         let mut row_max = 0.0f64;
-        for c in k..n {
-            let v = lu.get(pivot_row, c).abs();
-            if v > row_max {
-                row_max = v;
+        cols.clear();
+        let prow = &a[pivot_row * n + k..(pivot_row + 1) * n];
+        for (c, &v) in (k..n).zip(prow) {
+            let v_abs = v.abs();
+            if v_abs > row_max {
+                row_max = v_abs;
+            }
+            if c > k && v != 0.0 {
+                cols.push(c);
             }
         }
         // Negated on purpose: a NaN pivot must also reject.
@@ -199,21 +236,31 @@ fn factor_in_place(lu: &mut DenseMatrix, perm: &mut [usize]) -> Result<(), Error
         }
         if pivot_row != k {
             perm.swap(k, pivot_row);
-            for c in 0..n {
-                let a = lu.get(k, c);
-                let b = lu.get(pivot_row, c);
-                lu.set(k, c, b);
-                lu.set(pivot_row, c, a);
-            }
+            let (upper, lower) = a.split_at_mut(pivot_row * n);
+            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
         }
-        let inv_pivot = 1.0 / lu.get(k, k);
-        for r in (k + 1)..n {
-            let factor = lu.get(r, k) * inv_pivot;
-            lu.set(r, k, factor);
-            if factor != 0.0 {
-                for c in (k + 1)..n {
-                    let v = lu.get(r, c) - factor * lu.get(k, c);
-                    lu.set(r, c, v);
+        let (done, rows) = a.split_at_mut((k + 1) * n);
+        let pivot = &done[k * n..];
+        let inv_pivot = 1.0 / pivot[k];
+        // A dense pivot row keeps the contiguous (vectorizable) loop;
+        // the indexed loop pays only when it skips enough columns.
+        let dense_pivot = 2 * cols.len() > n - k - 1;
+        for row in rows.chunks_exact_mut(n) {
+            // Every multiplier is written, zero or not: a negative
+            // pivot makes a zero entry's multiplier −0.0, as the dense
+            // loop stores it.
+            let factor = row[k] * inv_pivot;
+            row[k] = factor;
+            if factor == 0.0 {
+                continue;
+            }
+            if dense_pivot || !factor.is_finite() {
+                for (v, &p) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                    *v -= factor * p;
+                }
+            } else {
+                for &c in cols.iter() {
+                    row[c] -= factor * pivot[c];
                 }
             }
         }
@@ -228,24 +275,26 @@ fn solve_permuted(lu: &DenseMatrix, perm: &[usize], b: &[f64], x: &mut [f64]) {
     let n = lu.n;
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
+    let a = &lu.data[..];
     for (xi, &p) in x.iter_mut().zip(perm) {
         *xi = b[p];
     }
-    // Forward substitution with unit-diagonal L.
     for i in 1..n {
-        let mut sum = x[i];
-        for (j, xj) in x.iter().enumerate().take(i) {
-            sum -= lu.get(i, j) * xj;
+        let (solved, rest) = x.split_at_mut(i);
+        let mut sum = rest[0];
+        for (l, xj) in a[i * n..i * n + i].iter().zip(solved.iter()) {
+            sum -= l * xj;
         }
-        x[i] = sum;
+        rest[0] = sum;
     }
-    // Back substitution with U.
     for i in (0..n).rev() {
-        let mut sum = x[i];
-        for (j, xj) in x.iter().enumerate().skip(i + 1) {
-            sum -= lu.get(i, j) * xj;
+        let row = &a[i * n..(i + 1) * n];
+        let (head, solved) = x.split_at_mut(i + 1);
+        let mut sum = head[i];
+        for (u, xj) in row[i + 1..].iter().zip(solved.iter()) {
+            sum -= u * xj;
         }
-        x[i] = sum / lu.get(i, i);
+        head[i] = sum / row[i];
     }
 }
 
@@ -254,26 +303,23 @@ fn solve_permuted(lu: &DenseMatrix, perm: &[usize], b: &[f64], x: &mut [f64]) {
 /// [`DenseMatrix::into_lu`] consumes its matrix and allocates a fresh
 /// permutation per call — fine for one-shot solves, ruinous inside a
 /// Newton loop that factors the same-order Jacobian thousands of times.
-/// `LuWorkspace` keeps one factor buffer and one permutation alive and
-/// refactors into them with zero heap traffic once warmed to an order.
-/// The arithmetic is the shared [`factor_in_place`]/[`solve_permuted`]
-/// core, so results are bit-identical to the consuming path.
+/// `LuWorkspace` keeps one factor buffer, one permutation and the
+/// pivot-row column list alive and refactors into them with zero heap
+/// traffic once warmed to an order. The arithmetic is the shared
+/// [`factor_in_place`]/[`solve_permuted`] core, so results are
+/// bit-identical to the consuming path.
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
     lu: DenseMatrix,
     perm: Vec<usize>,
+    /// Scratch for [`factor_in_place`]'s pivot-row nonzero columns.
+    cols: Vec<usize>,
 }
 
 impl LuWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
-        LuWorkspace {
-            lu: DenseMatrix {
-                n: 0,
-                data: Vec::new(),
-            },
-            perm: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Copies `a` into the workspace and factors it in place.
@@ -290,7 +336,7 @@ impl LuWorkspace {
         self.lu.data.extend_from_slice(&a.data);
         self.perm.clear();
         self.perm.extend(0..a.n);
-        factor_in_place(&mut self.lu, &mut self.perm)
+        factor_in_place(&mut self.lu, &mut self.perm, &mut self.cols)
     }
 
     /// Solves `A x = b` into `x` using the stored factors.
@@ -307,27 +353,23 @@ impl LuWorkspace {
         self.lu.n
     }
 
-    /// Copies the held factors out — how the rank-1 path snapshots its
-    /// chord base. The destination buffers are cleared and refilled so
-    /// a held base reuses its allocations.
-    pub(crate) fn export_factors(&self, lu: &mut Vec<f64>, perm: &mut Vec<usize>) {
-        lu.clear();
-        lu.extend_from_slice(&self.lu.data);
-        perm.clear();
-        perm.extend_from_slice(&self.perm);
+    /// The packed factors of the last factorization — unit-diagonal L
+    /// below the diagonal, U on and above it, rows in pivot order —
+    /// and the row permutation (`perm[i]` is the original row now at
+    /// position `i`).
+    pub fn factors(&self) -> (&DenseMatrix, &[usize]) {
+        (&self.lu, &self.perm)
     }
 
-    /// Installs previously exported factors — how the rank-1 path
-    /// loads its chord base. Bit-identical to refactoring the same
-    /// matrix, because the stored bytes *are* that factorization.
-    pub(crate) fn import_factors(&mut self, n: usize, lu: &[f64], perm: &[usize]) {
-        debug_assert_eq!(lu.len(), n * n);
-        debug_assert_eq!(perm.len(), n);
-        self.lu.n = n;
+    /// Makes `self` a copy of `other` — how the rank-1 path holds its
+    /// chord base. Reuses the existing buffers, and solves through the
+    /// copy are bit-identical to solves through `other`.
+    pub(crate) fn copy_from(&mut self, other: &LuWorkspace) {
+        self.lu.n = other.lu.n;
         self.lu.data.clear();
-        self.lu.data.extend_from_slice(lu);
+        self.lu.data.extend_from_slice(&other.lu.data);
         self.perm.clear();
-        self.perm.extend_from_slice(perm);
+        self.perm.extend_from_slice(&other.perm);
     }
 }
 
@@ -335,8 +377,7 @@ impl LuWorkspace {
 /// the row permutation.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    lu: DenseMatrix,
-    perm: Vec<usize>,
+    ws: LuWorkspace,
 }
 
 impl LuFactors {
@@ -346,8 +387,8 @@ impl LuFactors {
     ///
     /// Panics if `b.len()` differs from the factored matrix order.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.lu.n];
-        solve_permuted(&self.lu, &self.perm, b, &mut x);
+        let mut x = vec![0.0; self.ws.order()];
+        self.ws.solve_into(b, &mut x);
         x
     }
 }
@@ -464,15 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn factor_export_import_round_trips_bitwise() {
+    fn copied_factors_solve_bitwise_like_the_original() {
         let a = DenseMatrix::from_rows(3, &[0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0, 0.0]);
         let mut ws = LuWorkspace::new();
         ws.factor_from(&a).unwrap();
-        let mut lu = Vec::new();
-        let mut perm = Vec::new();
-        ws.export_factors(&mut lu, &mut perm);
         let mut ws2 = LuWorkspace::new();
-        ws2.import_factors(3, &lu, &perm);
+        ws2.copy_from(&ws);
         let b = [5.0, 2.0, 1.0];
         let mut x1 = vec![0.0; 3];
         let mut x2 = vec![0.0; 3];

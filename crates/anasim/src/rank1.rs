@@ -60,15 +60,11 @@ pub(crate) enum Prepare {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Rank1State {
     valid: bool,
-    n: usize,
     struct_fp: u64,
     base_params: Vec<f64>,
     base_sources: Vec<f64>,
-    base_lu: Vec<f64>,
-    base_perm: Vec<usize>,
-    /// The base factors imported for solving (lazily, after snapshot).
+    /// The base factors the chord steps solve through.
     chord: LuWorkspace,
-    chord_loaded: bool,
     /// Active Woodbury terms: port unknowns of each changed resistor.
     terms: Vec<(Option<usize>, Option<usize>)>,
     /// `Z = A_base⁻¹ U`, column-major, `terms.len()` columns of `n`.
@@ -98,14 +94,12 @@ impl Rank1State {
     /// Jacobian) together with the netlist's parameter/source state as
     /// the new chord base.
     pub(crate) fn snapshot_base(&mut self, netlist: &Netlist, struct_fp: u64, lu: &LuWorkspace) {
-        self.n = lu.order();
         self.struct_fp = struct_fp;
-        lu.export_factors(&mut self.base_lu, &mut self.base_perm);
+        self.chord.copy_from(lu);
         self.base_params.clear();
         self.base_params.extend_from_slice(netlist.params_slice());
         self.base_sources.clear();
         self.base_sources.extend_from_slice(netlist.sources_slice());
-        self.chord_loaded = false;
         self.valid = true;
     }
 
@@ -115,7 +109,7 @@ impl Rank1State {
     pub(crate) fn prepare(&mut self, netlist: &Netlist, plan: &StampPlan) -> Prepare {
         let n = netlist.num_unknowns();
         if !self.valid
-            || self.n != n
+            || self.chord.order() != n
             || self.struct_fp != plan.structural_fp()
             || self.base_sources != netlist.sources_slice()
         {
@@ -146,10 +140,6 @@ impl Rank1State {
             }
             self.terms.push((p, nn));
             self.s.push(1.0 / now - 1.0 / was);
-        }
-        if !self.chord_loaded {
-            self.chord.import_factors(n, &self.base_lu, &self.base_perm);
-            self.chord_loaded = true;
         }
         self.resid.resize(n, 0.0);
         let k = self.terms.len();
@@ -232,8 +222,8 @@ impl Rank1State {
     /// One chord step: given the residual already in `self.resid`,
     /// writes the proposal `x_new = x − M̃⁻¹ F(x)`.
     pub(crate) fn chord_step(&mut self, x: &[f64], x_new: &mut [f64]) {
-        let n = self.n;
-        debug_assert!(self.chord_loaded);
+        let n = self.chord.order();
+        debug_assert!(self.valid);
         self.y.resize(n, 0.0);
         // Split-borrow: solve reads `resid`, writes `y`.
         let (y, resid) = (&mut self.y, &self.resid);

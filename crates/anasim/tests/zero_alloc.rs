@@ -10,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use anasim::devices::mosfet::MosParams;
+use anasim::matrix::{DenseMatrix, LuWorkspace};
 use anasim::mna::AnalysisMode;
 use anasim::netlist::ParamId;
 use anasim::newton::solve_with_scratch;
@@ -129,6 +130,60 @@ fn plain_newton_path_allocates_nothing_per_iteration() {
     assert!(
         cold_allocs <= 2,
         "a scratch solve may only allocate its result, got {cold_allocs}"
+    );
+}
+
+/// An order-`n` system whose off-diagonal entries are nonzero with
+/// probability ~`density`: a diagonal matrix at 0, fully dense at 1.
+fn patterned_system(n: usize, density: f64, seed: u64) -> DenseMatrix {
+    let mut state = seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as f64 / u64::MAX as f64
+    };
+    let mut a = DenseMatrix::zeros(n);
+    for i in 0..n {
+        for j in 0..n {
+            if i != j && next() < density {
+                a.set(i, j, next() - 0.5);
+            }
+        }
+        a.add(i, i, 1.0 + next());
+    }
+    a
+}
+
+#[test]
+fn lu_workspace_allocates_nothing_once_warmed_to_an_order() {
+    // The pivot-row column list the factorization keeps is reserved
+    // for the full order when the order grows, so after one diagonal
+    // (emptiest pattern) factor-and-solve, denser and differently
+    // shaped systems of the same order refactor and solve without
+    // touching the heap.
+    let n = 48;
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+    let mut x = vec![0.0; n];
+    let systems: Vec<DenseMatrix> = [0.05, 0.2, 1.0, 0.0, 0.5]
+        .iter()
+        .zip(1u64..)
+        .map(|(&density, seed)| patterned_system(n, density, seed))
+        .collect();
+    let mut ws = LuWorkspace::new();
+    ws.factor_from(&patterned_system(n, 0.0, 99))
+        .expect("diagonal factors");
+    ws.solve_into(&b, &mut x);
+
+    let before = allocations();
+    for a in &systems {
+        ws.factor_from(a).expect("random system factors");
+        ws.solve_into(&b, &mut x);
+    }
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "warmed factor_from + solve_into must not allocate, got {allocs}"
     );
 }
 

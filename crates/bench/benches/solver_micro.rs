@@ -31,8 +31,29 @@ fn dense_system(n: usize) -> (DenseMatrix, Vec<f64>) {
     (a, b)
 }
 
+/// The regulator's DC Jacobian at its loaded operating point: 48
+/// unknowns, ~150 nonzeros — the system the Table II search factors.
+fn regulator_jacobian() -> (DenseMatrix, Vec<f64>) {
+    let pvt = PvtCondition::nominal();
+    let load =
+        ArrayLoad::build(&CellInstance::symmetric(pvt), &[], 256 * 1024, 1.3, 5).expect("builds");
+    let mut circuit = static_circuit(pvt, VrefTap::V70).expect("builds");
+    circuit.solve(&load).expect("solves");
+    let nl = circuit.netlist();
+    let n = nl.num_unknowns();
+    let plan = StampPlan::build(nl);
+    let mut a = DenseMatrix::zeros(n);
+    let mut rhs = vec![0.0; n];
+    let x = circuit.warm_state().expect("solved");
+    assemble_planned(nl, &plan, x, 0.0, 1.0, AnalysisMode::Dc, &mut a, &mut rhs);
+    (a, rhs)
+}
+
 fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_micro");
+    // The factor+solve cases take microseconds: enough samples to
+    // average out timer and scheduling noise.
+    group.sample_size(20_000);
     for n in [8usize, 24, 48] {
         let (a, b) = dense_system(n);
         group.bench_with_input(BenchmarkId::new("lu_solve", n), &n, |bench, _| {
@@ -50,6 +71,19 @@ fn bench_solver(c: &mut Criterion) {
             })
         });
     }
+    // The same through a sparse MNA Jacobian, whose zero entries the
+    // factorization skips (the random systems above are fully dense).
+    let (a, b) = regulator_jacobian();
+    let mut ws = LuWorkspace::new();
+    let mut x = vec![0.0; a.order()];
+    group.bench_function("lu_solve_in_place/regulator_jacobian", |bench| {
+        bench.iter(|| {
+            ws.factor_from(&a).expect("non-singular");
+            ws.solve_into(&b, &mut x);
+            x[0]
+        })
+    });
+    group.sample_size(10);
 
     let params = MosParams::nmos(2.0e-4, 0.55);
     group.bench_function("ekv_ids_eval", |b| {

@@ -609,7 +609,9 @@ impl RegulatorCircuit {
         }
     }
 
-    pub(crate) fn netlist(&self) -> &Netlist {
+    /// The circuit's netlist, with the defect and load resistances
+    /// currently set.
+    pub fn netlist(&self) -> &Netlist {
         &self.nl
     }
 
