@@ -158,15 +158,17 @@ impl DenseMatrix {
             lu: self,
             ..LuWorkspace::default()
         };
-        factor_in_place(&mut ws.lu, &mut ws.perm, &mut ws.cols)?;
+        factor_in_place(&mut ws.lu.data, ws.lu.n, &mut ws.perm, &mut ws.cols)?;
         Ok(LuFactors { ws })
     }
 }
 
-/// The factorization core shared by [`DenseMatrix::into_lu`] and
-/// [`LuWorkspace::factor_from`]: Doolittle LU with partial pivoting,
-/// overwriting `lu` with the packed factors and `perm` with the row
-/// permutation. `perm` must enter as the identity permutation.
+/// The factorization core shared by [`DenseMatrix::into_lu`],
+/// [`LuWorkspace::factor_from`] and the block-Schur reduction's
+/// in-place block elimination: Doolittle LU with partial pivoting,
+/// overwriting the row-major `n × n` slice `a` with the packed factors
+/// and `perm` with the row permutation. `perm` must enter as the
+/// identity permutation.
 ///
 /// Step `k` updates the rows whose multiplier is nonzero, as the dense
 /// loop always did, but within them only the columns where the pivot
@@ -184,16 +186,16 @@ impl DenseMatrix {
 ///
 /// A matrix handed in with −0.0 entries still factors to values equal
 /// under `==`; only the sign of some zero entries can then differ.
-fn factor_in_place(
-    lu: &mut DenseMatrix,
+pub(crate) fn factor_in_place(
+    a: &mut [f64],
+    n: usize,
     perm: &mut [usize],
     cols: &mut Vec<usize>,
 ) -> Result<(), Error> {
-    let n = lu.n;
+    debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(perm.len(), n);
     cols.clear();
     cols.reserve(n);
-    let a = &mut lu.data[..];
     for k in 0..n {
         // Partial pivoting: bring the largest remaining entry of
         // column k to the diagonal.
@@ -268,14 +270,15 @@ fn factor_in_place(
     Ok(())
 }
 
-/// The substitution core shared by [`LuFactors::solve`] and
-/// [`LuWorkspace::solve_into`]: permute `b` into `x`, then forward
-/// substitution with unit-diagonal L and back substitution with U.
-fn solve_permuted(lu: &DenseMatrix, perm: &[usize], b: &[f64], x: &mut [f64]) {
-    let n = lu.n;
+/// The substitution core shared by [`LuFactors::solve`],
+/// [`LuWorkspace::solve_into`] and the block-Schur reduction: permute
+/// `b` into `x`, then forward substitution with unit-diagonal L and
+/// back substitution with U, reading the packed `n × n` factors `a`
+/// that [`factor_in_place`] left.
+pub(crate) fn solve_permuted(a: &[f64], n: usize, perm: &[usize], b: &[f64], x: &mut [f64]) {
+    debug_assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-    let a = &lu.data[..];
     for (xi, &p) in x.iter_mut().zip(perm) {
         *xi = b[p];
     }
@@ -336,7 +339,7 @@ impl LuWorkspace {
         self.lu.data.extend_from_slice(&a.data);
         self.perm.clear();
         self.perm.extend(0..a.n);
-        factor_in_place(&mut self.lu, &mut self.perm, &mut self.cols)
+        factor_in_place(&mut self.lu.data, a.n, &mut self.perm, &mut self.cols)
     }
 
     /// Solves `A x = b` into `x` using the stored factors.
@@ -345,7 +348,7 @@ impl LuWorkspace {
     ///
     /// Panics if `b.len()` or `x.len()` differ from the factored order.
     pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
-        solve_permuted(&self.lu, &self.perm, b, x);
+        solve_permuted(&self.lu.data, self.lu.n, &self.perm, b, x);
     }
 
     /// Order of the last factored matrix (0 before first use).

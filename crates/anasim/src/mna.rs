@@ -6,7 +6,7 @@
 //! scaling for continuation, previous time point for transient companion
 //! models).
 
-use crate::devices::ElementKind;
+use crate::devices::{Device, ElementKind};
 use crate::matrix::DenseMatrix;
 use crate::netlist::{Netlist, NodeId, ParamId, SourceId};
 
@@ -228,7 +228,7 @@ pub struct StampPlan {
 }
 
 /// FNV-1a fold step used by the structural fingerprint (and by the
-/// Schur macromodel cache, which keys on the same discipline).
+/// Schur partition fingerprint, which folds the block layout into it).
 #[inline]
 pub(crate) fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
@@ -252,6 +252,22 @@ pub(crate) fn kind_terminals(kind: &ElementKind) -> ([NodeId; 4], usize) {
     }
 }
 
+/// Fills `slots` with the unknowns a device stamps at — its non-ground
+/// terminal nodes, then its branch rows — so every matrix entry the
+/// device can write lies in `slots × slots`. The one enumeration behind
+/// [`StampPlan::build`] and the Schur partition plan.
+pub(crate) fn device_unknowns(device: &dyn Device, branch_offset: usize, slots: &mut Vec<usize>) {
+    slots.clear();
+    let (terminals, count) = kind_terminals(&device.kind());
+    slots.extend(
+        terminals
+            .iter()
+            .take(count)
+            .filter_map(|t| t.unknown_index()),
+    );
+    slots.extend(branch_offset..branch_offset + device.num_branches());
+}
+
 /// A small discriminant code per element kind for the fingerprint.
 fn kind_code(kind: &ElementKind) -> u64 {
     match kind {
@@ -265,7 +281,10 @@ fn kind_code(kind: &ElementKind) -> u64 {
     }
 }
 
-fn structural_fingerprint(netlist: &Netlist) -> u64 {
+/// FNV fingerprint of a netlist's structure: device kinds, terminals
+/// and branch layout, but no element values. Walks the device list
+/// without allocating, so it serves as a per-solve staleness guard.
+pub(crate) fn structural_fingerprint(netlist: &Netlist) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (device, branch_offset) in netlist.devices_with_offsets() {
         let kind = device.kind();
@@ -288,16 +307,7 @@ impl StampPlan {
         let mut touched: Vec<usize> = Vec::new();
         let mut slots: Vec<usize> = Vec::with_capacity(8);
         for (device, branch_offset) in netlist.devices_with_offsets() {
-            slots.clear();
-            let (terminals, count) = kind_terminals(&device.kind());
-            for t in terminals.iter().take(count) {
-                if let Some(i) = t.unknown_index() {
-                    slots.push(i);
-                }
-            }
-            for k in 0..device.num_branches() {
-                slots.push(branch_offset + k);
-            }
+            device_unknowns(device, branch_offset, &mut slots);
             for &r in &slots {
                 for &c in &slots {
                     touched.push(r * n + c);

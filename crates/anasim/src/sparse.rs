@@ -237,9 +237,11 @@ impl SparseLu {
     ///
     /// # Errors
     ///
-    /// [`Error::SingularMatrix`] with the failing pivotal position
-    /// when no acceptable pivot exists in some column (same
-    /// row-relative rejection rule as the dense core).
+    /// [`Error::SingularMatrix`] when no acceptable pivot exists in
+    /// some column (same row-relative rejection rule as the dense
+    /// core). `pivot_row` is that column's original index — the
+    /// unknown it solves for, as on the dense path — not its position
+    /// in the fill-reducing order.
     pub fn factor(
         &mut self,
         matrix: &DenseMatrix,
@@ -315,7 +317,7 @@ impl SparseLu {
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if pivot_row == EMPTY || !(pivot_abs > REL_PIVOT_TOL * col_max) {
                 return Err(Error::SingularMatrix {
-                    pivot_row: j,
+                    pivot_row: col,
                     unknown: None,
                 });
             }
@@ -532,9 +534,11 @@ mod tests {
         dense.add(1, 1, 1.0);
         let touched = vec![0, n + 1, 2 * n + 2];
         let mut sp = SparseLu::new();
+        // The error names the all-zero column itself, whatever its
+        // position in the fill-reducing order.
         match sp.factor(&dense, 1, &touched) {
-            Err(Error::SingularMatrix { .. }) => {}
-            other => panic!("expected singular, got {other:?}"),
+            Err(Error::SingularMatrix { pivot_row: 2, .. }) => {}
+            other => panic!("expected singular at column 2, got {other:?}"),
         }
     }
 

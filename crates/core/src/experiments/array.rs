@@ -115,10 +115,6 @@ pub struct ArrayRetentionRow {
     pub flipped: Vec<(usize, usize)>,
     /// Lumped-rail droop below the supply, volts.
     pub rail_droop: f64,
-    /// Schur macromodels served from the content-addressed cache.
-    pub blocks_shared: u64,
-    /// Schur macromodels factored fresh.
-    pub blocks_rebuilt: u64,
 }
 
 /// The full retention map.
@@ -149,7 +145,6 @@ impl fmt::Display for ArrayRetentionReport {
             "retained",
             "flipped cells",
             "rail droop (V)",
-            "macromodels hit/built",
         ]);
         for p in &self.points {
             let flipped = if p.flipped.is_empty() {
@@ -169,7 +164,6 @@ impl fmt::Display for ArrayRetentionReport {
                 format!("{}/{}", p.retained, p.cells),
                 flipped,
                 format!("{:.3e}", p.rail_droop),
-                format!("{}/{}", p.blocks_shared, p.blocks_rebuilt),
             ]);
         }
         write!(f, "{t}")
@@ -198,7 +192,7 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
             let mut spec = ArraySpec::retention(options.rows, options.cols, *supply, base);
             spec.active = scenario.active.clone();
             let built = spec.build()?;
-            // A fresh scratch per point: the counters below are this
+            // A fresh scratch per point: the interface size below is this
             // solve's alone, and workers share no mutable state.
             let mut scratch = SolveScratch::new();
             let sol = solve_array(
@@ -215,7 +209,6 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
                 .filter(|(_, &ok)| !ok)
                 .map(|(i, _)| (i / options.cols, i % options.cols))
                 .collect();
-            let counters = scratch.counters();
             let row = ArrayRetentionRow {
                 scenario: scenario.name.clone(),
                 supply: *supply,
@@ -227,8 +220,6 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
                 cells: grid.len(),
                 flipped,
                 rail_droop: *supply - sol.voltage(built.vdd_rail),
-                blocks_shared: counters.schur_blocks_shared,
-                blocks_rebuilt: counters.schur_blocks_rebuilt,
             };
             scratch.flush_obs_counters();
             Ok(row)
@@ -273,9 +264,8 @@ mod tests {
             assert_eq!(point.cells - point.retained, expected, "{}", point.scenario);
             assert_eq!(point.flipped.len(), expected);
             // The reduced path ran: the interface is far smaller than
-            // the system, and macromodels were shared across blocks.
+            // the system.
             assert!(point.interface_unknowns * 5 < point.unknowns);
-            assert!(point.blocks_shared > point.blocks_rebuilt);
         }
         let text = report.to_string();
         assert!(text.contains("16x8 array retention map"));

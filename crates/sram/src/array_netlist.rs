@@ -16,11 +16,10 @@
 //!   ([`crate::cell::build_retention_netlist`]) but share the array's
 //!   rail/word/bit nets, so an inactive cell couples to the interface
 //!   only through {rail, WL(row), BL(col), BLB(col)} — a 4-entry
-//!   boundary whose packed `[B|E|F]` bytes are position-indexed.
-//!   Inactive cells holding the same bit therefore share one Schur
-//!   macromodel regardless of their row or column, which is the whole
-//!   reduction: a 512×8 array factors a couple of 2×2 blocks plus a
-//!   ~500-unknown interface instead of an ~8.7k-unknown monolith.
+//!   boundary. Each inactive cell is eliminated as its own 2×2 block,
+//!   which is the whole reduction: a 512×8 array factors ~4,000 tiny
+//!   blocks plus a ~500-unknown interface instead of an ~8.7k-unknown
+//!   monolith.
 //!
 //! Retention configuration throughout: word lines and bit lines are
 //! resistively tied to ground (peripheral drivers off), the cell rail

@@ -89,7 +89,7 @@ fn compare_passes_on_self_and_fails_on_injected_regression() {
     let bench = |iterations_total: f64| {
         format!(
             r#"{{
-  "schema": "lp-sram-suite/bench-baseline/v3",
+  "schema": "lp-sram-suite/bench-baseline/v7",
   "artifact": "table2",
   "variants": {{
     "sequential_warm": {{

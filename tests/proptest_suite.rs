@@ -458,7 +458,7 @@ proptest! {
 
     /// Random `force_active` promotion sets never change the retention
     /// verdict grid. A promoted cell is solved in the interface instead
-    /// of through a shared macromodel — the Schur reduction being exact
+    /// of eliminated as a Schur block — the reduction being exact
     /// block elimination, the choice of active set must be invisible
     /// beyond solver tolerance, defect or no defect.
     #[test]
