@@ -158,13 +158,20 @@ pub struct SolverStats {
     /// Deepest rescue ladder (continuation stage count) any single
     /// absorbed solve reached. 1 = plain Newton sufficed everywhere.
     pub rescue_depth: usize,
+    /// Newton iterations spent in continuation stages (and rungs) of
+    /// the accepted attempt that failed or hit a singular Jacobian.
+    /// [`iterations`](SolverStats::iterations) counts only the stages
+    /// that converged, so this is the rescue ladder's wasted work on
+    /// top of it.
+    pub failed_stage_iterations: usize,
 }
 
 impl SolverStats {
     /// Folds another solve's telemetry into this one (used by
     /// transient analyses, which run one solve per time step).
-    /// Sums iterations/stages/retries; takes the worst-case
-    /// `max_iterations`, `rescue_depth` and `rescued_by`. The default
+    /// Sums iterations/stages/retries/failed-stage iterations; takes
+    /// the worst-case `max_iterations`, `rescue_depth` and
+    /// `rescued_by`. The default
     /// (empty) stats value is the identity of this fold.
     pub fn absorb(&mut self, other: &SolverStats) {
         self.iterations += other.iterations;
@@ -173,6 +180,7 @@ impl SolverStats {
         self.rescued_by = self.rescued_by.max(other.rescued_by);
         self.max_iterations = self.max_iterations.max(other.max_iterations);
         self.rescue_depth = self.rescue_depth.max(other.rescue_depth);
+        self.failed_stage_iterations += other.failed_stage_iterations;
     }
 }
 
@@ -201,16 +209,24 @@ impl Solution {
                 rescued_by: RescueStage::Plain,
                 max_iterations: iterations,
                 rescue_depth: 1,
+                failed_stage_iterations: 0,
             },
         }
     }
 
-    /// Tags the solution with which continuation stage rescued it and
-    /// how many stages were attempted along the way.
-    pub(crate) fn rescued(mut self, stage: RescueStage, stages: usize) -> Self {
+    /// Tags the solution with which continuation stage rescued it, how
+    /// many stages were attempted along the way, and the iterations the
+    /// stages that did not converge spent.
+    pub(crate) fn rescued(
+        mut self,
+        stage: RescueStage,
+        stages: usize,
+        failed_stage_iterations: usize,
+    ) -> Self {
         self.stats.rescued_by = stage;
         self.stats.stages = stages;
         self.stats.rescue_depth = stages;
+        self.stats.failed_stage_iterations = failed_stage_iterations;
         self
     }
 
@@ -266,11 +282,34 @@ impl Solution {
 /// accepted iterate in the scratch's `x` buffer and carries the
 /// iteration count. `Singular` carries the pivot row at which
 /// elimination failed so the final error can name the offending
-/// unknown.
+/// unknown. The failures carry the iterations they spent too.
 enum StageOutcome {
     Converged(usize),
-    Failed { residual: f64 },
-    Singular(usize),
+    Failed { residual: f64, iterations: usize },
+    Singular { row: usize, iterations: usize },
+}
+
+impl StageOutcome {
+    /// A stage stopped by a failed elimination at its `iterations`-th
+    /// iteration; the pivot row comes from the error when it names one.
+    fn singular(e: &Error, iterations: usize) -> Self {
+        let row = match e {
+            Error::SingularMatrix { pivot_row, .. } => *pivot_row,
+            _ => 0,
+        };
+        StageOutcome::Singular { row, iterations }
+    }
+
+    /// Iterations spent by a stage that did not converge (0 for one
+    /// that did: those count as the solve's `iterations`).
+    fn failed_iterations(&self) -> usize {
+        match *self {
+            StageOutcome::Converged(_) => 0,
+            StageOutcome::Failed { iterations, .. } | StageOutcome::Singular { iterations, .. } => {
+                iterations
+            }
+        }
+    }
 }
 
 /// One continuation stage of damped Newton iteration, running entirely
@@ -360,10 +399,7 @@ fn newton_stage(
             // elimination, reduced interface solve, back-substitution.
             // The surrounding damping/convergence logic is shared.
             if let Err(e) = schur.step(netlist, x, gmin, source_scale, mode, rhs, x_new, counters) {
-                return match e {
-                    Error::SingularMatrix { pivot_row, .. } => StageOutcome::Singular(pivot_row),
-                    _ => StageOutcome::Singular(0),
-                };
+                return StageOutcome::singular(&e, iter + 1);
             }
         } else {
             let plan = stamp_plan();
@@ -399,10 +435,7 @@ fn newton_stage(
                         counters.factorizations += 1;
                     }
                 }
-                Err(Error::SingularMatrix { pivot_row, .. }) => {
-                    return StageOutcome::Singular(pivot_row)
-                }
-                Err(_) => return StageOutcome::Singular(0),
+                Err(e) => return StageOutcome::singular(&e, iter + 1),
             }
             did_factor = !use_sparse;
             if use_sparse {
@@ -472,6 +505,7 @@ fn newton_stage(
     }
     StageOutcome::Failed {
         residual: last_delta,
+        iterations: opts.max_iterations,
     }
 }
 
@@ -560,22 +594,39 @@ fn solve_impl(
 
     let mut total_iters = 0usize;
     let mut stages_tried = 1usize;
+    // Iterations of stages and rungs that did not converge.
+    let mut failed_iters = 0usize;
+    let stage = |opts: &NewtonOptions,
+                 scratch: &mut SolveScratch,
+                 gmin: f64,
+                 source_scale: f64,
+                 failed_iters: &mut usize| {
+        let outcome = newton_stage(
+            netlist,
+            opts,
+            scratch,
+            gmin,
+            source_scale,
+            mode,
+            partitioned,
+        );
+        *failed_iters += outcome.failed_iterations();
+        outcome
+    };
 
-    // Stage 1: plain Newton from the provided start.
+    // Stage 1: plain Newton from the provided start. A failed or
+    // singular stage falls through: gmin regularizes singular
+    // Jacobians caused by fully-off device stacks.
     obs::flight_set_stage(RescueStage::Plain.label());
     scratch.load_start();
-    match newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned) {
-        StageOutcome::Converged(it) => {
-            return Ok(
-                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                    .rescued(RescueStage::Plain, stages_tried),
-            )
-        }
-        StageOutcome::Failed { .. } => {}
-        StageOutcome::Singular(_) => {
-            // Give continuation a chance: gmin regularizes singular
-            // Jacobians caused by fully-off device stacks.
-        }
+    if let StageOutcome::Converged(it) = stage(opts, scratch, 0.0, 1.0, &mut failed_iters) {
+        return Ok(
+            Solution::new(scratch.x.clone(), node_unknowns, total_iters + it).rescued(
+                RescueStage::Plain,
+                stages_tried,
+                failed_iters,
+            ),
+        );
     }
 
     // Stage 2: gmin stepping. Each rung continues from the previous
@@ -587,7 +638,7 @@ fn solve_impl(
         let mut ok = true;
         let mut gmin = 1.0e-2;
         while gmin > 1.0e-13 {
-            match newton_stage(netlist, opts, scratch, gmin, 1.0, mode, partitioned) {
+            match stage(opts, scratch, gmin, 1.0, &mut failed_iters) {
                 StageOutcome::Converged(it) => total_iters += it,
                 _ => {
                     ok = false;
@@ -597,12 +648,13 @@ fn solve_impl(
             gmin /= 10.0;
         }
         if ok {
-            if let StageOutcome::Converged(it) =
-                newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned)
-            {
+            if let StageOutcome::Converged(it) = stage(opts, scratch, 0.0, 1.0, &mut failed_iters) {
                 return Ok(
-                    Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                        .rescued(RescueStage::GminStepping, stages_tried),
+                    Solution::new(scratch.x.clone(), node_unknowns, total_iters + it).rescued(
+                        RescueStage::GminStepping,
+                        stages_tried,
+                        failed_iters,
+                    ),
                 );
             }
         }
@@ -616,7 +668,7 @@ fn solve_impl(
         let mut ok = true;
         for step in 1..=20 {
             let scale = step as f64 / 20.0;
-            match newton_stage(netlist, opts, scratch, 0.0, scale, mode, partitioned) {
+            match stage(opts, scratch, 0.0, scale, &mut failed_iters) {
                 StageOutcome::Converged(it) => total_iters += it,
                 _ => {
                     ok = false;
@@ -625,8 +677,13 @@ fn solve_impl(
             }
         }
         if ok {
-            return Ok(Solution::new(scratch.x.clone(), node_unknowns, total_iters)
-                .rescued(RescueStage::SourceStepping, stages_tried));
+            return Ok(
+                Solution::new(scratch.x.clone(), node_unknowns, total_iters).rescued(
+                    RescueStage::SourceStepping,
+                    stages_tried,
+                    failed_iters,
+                ),
+            );
         }
     }
 
@@ -642,12 +699,13 @@ fn solve_impl(
             ..*opts
         };
         scratch.load_start();
-        if let StageOutcome::Converged(it) =
-            newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned)
-        {
+        if let StageOutcome::Converged(it) = stage(&damped, scratch, 0.0, 1.0, &mut failed_iters) {
             return Ok(
-                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                    .rescued(RescueStage::DampedWarmStart, stages_tried),
+                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it).rescued(
+                    RescueStage::DampedWarmStart,
+                    stages_tried,
+                    failed_iters,
+                ),
             );
         }
     }
@@ -667,7 +725,7 @@ fn solve_impl(
         let mut ok = true;
         let mut gmin = 1.0e-2;
         while gmin > 1.0e-13 {
-            match newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned) {
+            match stage(&damped, scratch, gmin, 1.0, &mut failed_iters) {
                 StageOutcome::Converged(it) => total_iters += it,
                 _ => {
                     ok = false;
@@ -678,11 +736,14 @@ fn solve_impl(
         }
         if ok {
             if let StageOutcome::Converged(it) =
-                newton_stage(netlist, &damped, scratch, 0.0, 1.0, mode, partitioned)
+                stage(&damped, scratch, 0.0, 1.0, &mut failed_iters)
             {
                 return Ok(
-                    Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                        .rescued(RescueStage::DampedGmin, stages_tried),
+                    Solution::new(scratch.x.clone(), node_unknowns, total_iters + it).rescued(
+                        RescueStage::DampedGmin,
+                        stages_tried,
+                        failed_iters,
+                    ),
                 );
             }
         }
@@ -707,7 +768,7 @@ fn solve_impl(
             // and let the next rung (or the final accept) retry.
             scratch.x.copy_from_slice(&scratch.best);
             if let StageOutcome::Converged(it) =
-                newton_stage(netlist, &damped, scratch, gmin, 1.0, mode, partitioned)
+                stage(&damped, scratch, gmin, 1.0, &mut failed_iters)
             {
                 total_iters += it;
                 scratch.best.copy_from_slice(&scratch.x);
@@ -720,18 +781,15 @@ fn solve_impl(
             ..*opts
         };
         scratch.x.copy_from_slice(&scratch.best);
-        if let StageOutcome::Converged(it) = newton_stage(
-            netlist,
-            &final_damped,
-            scratch,
-            1.0e-9,
-            1.0,
-            mode,
-            partitioned,
-        ) {
+        if let StageOutcome::Converged(it) =
+            stage(&final_damped, scratch, 1.0e-9, 1.0, &mut failed_iters)
+        {
             return Ok(
-                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it)
-                    .rescued(RescueStage::GminRegularized, stages_tried),
+                Solution::new(scratch.x.clone(), node_unknowns, total_iters + it).rescued(
+                    RescueStage::GminRegularized,
+                    stages_tried,
+                    failed_iters,
+                ),
             );
         }
     }
@@ -739,8 +797,8 @@ fn solve_impl(
     // Report failure with diagnostics from a final plain attempt.
     obs::flight_set_stage(RescueStage::Plain.label());
     scratch.load_start();
-    match newton_stage(netlist, opts, scratch, 0.0, 1.0, mode, partitioned) {
-        StageOutcome::Singular(row) => Err(Error::SingularMatrix {
+    match stage(opts, scratch, 0.0, 1.0, &mut failed_iters) {
+        StageOutcome::Singular { row, .. } => Err(Error::SingularMatrix {
             pivot_row: row,
             unknown: Some(netlist.unknown_label(row)),
         }),
@@ -749,7 +807,7 @@ fn solve_impl(
             residual,
         }),
         StageOutcome::Converged(it) => Ok(Solution::new(scratch.x.clone(), node_unknowns, it)
-            .rescued(RescueStage::Plain, stages_tried)),
+            .rescued(RescueStage::Plain, stages_tried, failed_iters)),
     }
 }
 
@@ -1006,6 +1064,12 @@ pub fn solve_with_retry_in(
                 obs::counter_add(sol.stats.rescued_by.counter_key(), 1);
                 obs::hist_record("anasim.solve.iterations", sol.stats.iterations as f64);
                 obs::hist_record("anasim.solve.retries", sol.stats.retries as f64);
+                if sol.stats.failed_stage_iterations > 0 {
+                    obs::counter_add(
+                        "anasim.solve.failed_stage_iterations",
+                        sol.stats.failed_stage_iterations as u64,
+                    );
+                }
                 obs::tally_add(sol.stats.iterations as u64, sol.stats.retries as u64);
                 return Ok(sol);
             }
@@ -1152,6 +1216,25 @@ mod tests {
         assert!(sol.stats.retries > 0, "stats: {:?}", sol.stats);
         let v = sol.voltage(out);
         assert!((0.0..=1.1).contains(&v), "inverter output {v}");
+    }
+
+    #[test]
+    fn rescued_solve_counts_its_failed_stage_iterations() {
+        let (nl, _) = threshold_inverter();
+        let opts = NewtonOptions {
+            max_iterations: 3,
+            ..NewtonOptions::plain()
+        };
+        let sol = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &RetryPolicy::ladder())
+            .expect("escalation ladder must rescue the point");
+        // The accepted fifth attempt (6 iterations per stage) forces
+        // both continuation ladders on: plain Newton fails, then a gmin
+        // rung fails, before source stepping settles the point.
+        assert_eq!(sol.stats.rescued_by, RescueStage::SourceStepping);
+        assert_eq!(sol.stats.failed_stage_iterations, 6 + 6, "{:?}", sol.stats);
+        // `iterations` keeps its meaning: converged stages plus the
+        // failed attempts' budgets, without the failed stages.
+        assert_eq!(sol.stats.iterations, 72);
     }
 
     #[test]
@@ -1332,6 +1415,7 @@ mod tests {
             rescued_by: RescueStage::Plain,
             max_iterations: 10,
             rescue_depth: 1,
+            failed_stage_iterations: 4,
         };
         let b = SolverStats {
             iterations: 50,
@@ -1340,6 +1424,7 @@ mod tests {
             rescued_by: RescueStage::GminStepping,
             max_iterations: 30,
             rescue_depth: 3,
+            failed_stage_iterations: 7,
         };
         a.absorb(&b);
         assert_eq!(a.iterations, 60);
@@ -1349,6 +1434,7 @@ mod tests {
         // Worst-case fields take the max, not the sum.
         assert_eq!(a.max_iterations, 30);
         assert_eq!(a.rescue_depth, 3);
+        assert_eq!(a.failed_stage_iterations, 11);
     }
 
     #[test]
@@ -1360,6 +1446,7 @@ mod tests {
             rescued_by: RescueStage::SourceStepping,
             max_iterations: 25,
             rescue_depth: 2,
+            failed_stage_iterations: 9,
         };
         // Absorbing the empty stats changes nothing…
         let mut a = stats;

@@ -13,9 +13,10 @@ use anasim::devices::mosfet::MosParams;
 use anasim::matrix::{DenseMatrix, LuWorkspace};
 use anasim::mna::AnalysisMode;
 use anasim::netlist::ParamId;
-use anasim::newton::solve_with_scratch;
+use anasim::newton::{solve_with_retry_in, solve_with_scratch};
 use anasim::{
-    solve_array, ArraySolveOptions, Netlist, NewtonOptions, NodeId, Partition, SolveScratch,
+    solve_array, ArraySolveOptions, Netlist, NewtonOptions, NodeId, Partition, RetryPolicy,
+    SolveScratch,
 };
 
 struct CountingAllocator;
@@ -130,6 +131,50 @@ fn plain_newton_path_allocates_nothing_per_iteration() {
     assert!(
         cold_allocs <= 2,
         "a scratch solve may only allocate its result, got {cold_allocs}"
+    );
+}
+
+#[test]
+fn retry_ladder_records_obs_metrics_without_allocating() {
+    // `solve_with_retry_in` records two counters and two histograms
+    // per solve into the thread's obs buffer. A key already buffered
+    // must cost a lookup, not a fresh `String`: a warm ladder solve may
+    // allocate only what the bare scratch solve allocates (its result),
+    // plus a constant for the few flushes 1,000 solves trigger (each
+    // drains the buffer, so its keys are inserted again).
+    const SOLVES: u64 = 1000;
+    let nl = threshold_inverter();
+    let opts = NewtonOptions::default();
+    let policy = RetryPolicy::ladder();
+    let mut scratch = SolveScratch::new();
+    let x0 = solve_with_retry_in(&nl, &opts, None, AnalysisMode::Dc, &policy, &mut scratch)
+        .expect("inverter solves")
+        .into_raw();
+
+    let before_bare = allocations();
+    let bare = solve_with_scratch(&nl, &opts, Some(&x0), AnalysisMode::Dc, &mut scratch)
+        .expect("inverter solves warm");
+    let per_result = allocations() - before_bare;
+    drop(bare);
+
+    let before = allocations();
+    for _ in 0..SOLVES {
+        let sol = solve_with_retry_in(
+            &nl,
+            &opts,
+            Some(&x0),
+            AnalysisMode::Dc,
+            &policy,
+            &mut scratch,
+        )
+        .expect("inverter solves warm");
+        assert_eq!(sol.stats.retries, 0);
+    }
+    let allocs = allocations() - before;
+    assert!(
+        allocs <= SOLVES * per_result + 64,
+        "{SOLVES} warm ladder solves allocated {allocs} times \
+         ({per_result} per bare result)"
     );
 }
 

@@ -9,7 +9,7 @@
 
 use process::{ProcessCorner, PvtCondition, Sigma};
 use sram::cell::build_retention_netlist;
-use sram::drv::{drv_ds, DrvOptions, StoredBit};
+use sram::drv::{drv_ds_both, DrvOptions};
 use sram::{CellInstance, CellTransistor, MismatchPattern};
 
 use crate::campaign::{preflight_netlist, publish_coverage, Coverage, PointFailure, PointTimer};
@@ -200,8 +200,8 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
             // solve, then the two DRV searches.
             let point = build_retention_netlist(&inst, options.vdd)
                 .and_then(|(nl, _)| preflight_netlist(&nl))
-                .and_then(|_| drv_ds(&inst, StoredBit::One, &options.drv))
-                .and_then(|d1| Ok((d1.drv, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv)));
+                .and_then(|_| drv_ds_both(&inst, &options.drv))
+                .map(|(one, zero)| (one.drv, zero.drv));
             if !matches!(&point, Err(e) if !e.is_recordable()) {
                 timer.finish();
             }

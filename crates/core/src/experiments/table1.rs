@@ -4,8 +4,8 @@
 use std::fmt;
 
 use process::{ProcessCorner, PvtCondition};
-use sram::drv::{drv_ds, DrvOptions};
-use sram::{CellInstance, StoredBit};
+use sram::drv::{drv_ds_both, DrvOptions};
+use sram::CellInstance;
 
 use crate::campaign::{completeness_footer, publish_coverage, Coverage, PointFailure, PointTimer};
 use crate::case_study::CaseStudy;
@@ -171,8 +171,7 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
         |_, &(cs, pvt)| {
             let inst = CellInstance::with_pattern(cs.pattern(), pvt);
             let timer = PointTimer::start(format!("cs{} @ {pvt}", cs.number));
-            let point = drv_ds(&inst, StoredBit::One, &options.drv)
-                .and_then(|d1| Ok((d1.drv, drv_ds(&inst, StoredBit::Zero, &options.drv)?.drv)));
+            let point = drv_ds_both(&inst, &options.drv).map(|(one, zero)| (one.drv, zero.drv));
             if !matches!(&point, Err(e) if !e.is_retryable()) {
                 timer.finish();
             }

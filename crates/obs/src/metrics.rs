@@ -262,6 +262,31 @@ impl Registry {
     }
 }
 
+/// Adds `delta` to the named buffered counter. The key is allocated
+/// only on its first insert (and again after each flush drains the
+/// buffer), so a hot counter costs a hash lookup, not a `String`.
+fn add_to(counters: &mut HashMap<String, u64>, name: &str, delta: u64) {
+    match counters.get_mut(name) {
+        Some(total) => *total += delta,
+        None => {
+            counters.insert(name.to_string(), delta);
+        }
+    }
+}
+
+/// Records `value` into the named buffered histogram, allocating the
+/// key only on its first insert.
+fn record_to(histograms: &mut HashMap<String, Histogram>, name: &str, value: f64) {
+    match histograms.get_mut(name) {
+        Some(h) => h.record(value),
+        None => {
+            let mut h = Histogram::default();
+            h.record(value);
+            histograms.insert(name.to_string(), h);
+        }
+    }
+}
+
 fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -301,9 +326,7 @@ fn with_local(f: impl FnOnce(&mut LocalBuf)) -> bool {
 
 /// Adds `delta` to the named global counter (buffered).
 pub fn counter_add(name: &str, delta: u64) {
-    let done = with_local(|buf| {
-        *buf.counters.entry(name.to_string()).or_insert(0) += delta;
-    });
+    let done = with_local(|buf| add_to(&mut buf.counters, name, delta));
     if !done {
         global().counter_add(name, delta);
     }
@@ -311,12 +334,7 @@ pub fn counter_add(name: &str, delta: u64) {
 
 /// Records one observation into the named global histogram (buffered).
 pub fn hist_record(name: &str, value: f64) {
-    let done = with_local(|buf| {
-        buf.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    });
+    let done = with_local(|buf| record_to(&mut buf.histograms, name, value));
     if !done {
         global().hist_record(name, value);
     }

@@ -5,6 +5,10 @@
 //! at which `SNM_DS1` (`SNM_DS0`) reaches zero (paper §III). The search
 //! is a bisection on the supply axis: SNM grows monotonically with
 //! supply, so the zero crossing is unique.
+//!
+//! [`drv_ds_both`] (and [`drv_ds_worst`] over it) runs both lobes'
+//! bisections through one search that shares their common probes: each
+//! butterfly is extracted once per cell and supply.
 
 use crate::cell::CellInstance;
 use crate::snm::{snm_ds, ButterflySnm};
@@ -78,8 +82,88 @@ pub struct DrvResult {
     pub drv: f64,
     /// SNM measured at the upper search bound (diagnostic).
     pub snm_at_max: f64,
-    /// Number of SNM evaluations spent.
+    /// VTC pairs actually extracted for this lobe. Probes whose
+    /// butterfly an earlier lobe of the same [`drv_ds_both`] search
+    /// already extracted are not counted.
     pub evaluations: usize,
+}
+
+/// One cell instance's DRV search: the two broken-loop inverters,
+/// built once, and every butterfly extracted so far, keyed on the
+/// exact supply bits.
+///
+/// Both lobes bisect from the same `[0.002, hi_bound]` bracket, so
+/// their probe sequences coincide until the two DRVs fall into
+/// different dyadic cells. A butterfly is a pure function of the cell
+/// and the supply (every VTC sweep starts from a fresh solver scratch),
+/// so serving a repeated probe from the memo is exact.
+struct DrvSearch<'a> {
+    opts: &'a DrvOptions,
+    hi_bound: f64,
+    inv_s: InverterCircuit,
+    inv_sb: InverterCircuit,
+    memo: Vec<(u64, ButterflySnm)>,
+}
+
+impl<'a> DrvSearch<'a> {
+    fn new(instance: &CellInstance, opts: &'a DrvOptions) -> Result<Self, anasim::Error> {
+        let mut inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
+        let mut inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
+        inv_s.set_retry(opts.retry);
+        inv_sb.set_retry(opts.retry);
+        Ok(DrvSearch {
+            opts,
+            hi_bound: opts.max_supply.unwrap_or(instance.pvt.vdd),
+            inv_s,
+            inv_sb,
+            memo: Vec::new(),
+        })
+    }
+
+    /// The butterfly at `supply`, from the memo or freshly extracted
+    /// (counted in `extracted`).
+    fn butterfly(
+        &mut self,
+        supply: f64,
+        extracted: &mut usize,
+    ) -> Result<ButterflySnm, anasim::Error> {
+        let key = supply.to_bits();
+        if let Some(&(_, snm)) = self.memo.iter().find(|(k, _)| *k == key) {
+            return Ok(snm);
+        }
+        *extracted += 1;
+        let vtc_s = self.inv_s.vtc(supply, self.opts.vtc_points)?;
+        let vtc_sb = self.inv_sb.vtc(supply, self.opts.vtc_points)?;
+        let snm = crate::snm::snm_from_vtcs(&vtc_s, &vtc_sb);
+        self.memo.push((key, snm));
+        Ok(snm)
+    }
+
+    /// Bisects the supply for one stored value.
+    fn lobe(&mut self, bit: StoredBit) -> Result<DrvResult, anasim::Error> {
+        let _span = obs::span("drv_ds");
+        let opts = self.opts;
+        let mut evaluations = 0usize;
+        let snm_hi = bit.lobe(&self.butterfly(self.hi_bound, &mut evaluations)?);
+        let mut hi = self.hi_bound;
+        if snm_hi > opts.snm_floor {
+            let mut lo = 0.002; // effectively zero supply
+            while hi - lo > opts.tolerance {
+                let mid = 0.5 * (lo + hi);
+                if bit.lobe(&self.butterfly(mid, &mut evaluations)?) > opts.snm_floor {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+        }
+        obs::hist_record("sram.drv.evaluations", evaluations as f64);
+        Ok(DrvResult {
+            drv: hi,
+            snm_at_max: snm_hi,
+            evaluations,
+        })
+    }
 }
 
 /// Finds the deep-sleep data-retention voltage for one stored value.
@@ -108,45 +192,28 @@ pub fn drv_ds(
     bit: StoredBit,
     opts: &DrvOptions,
 ) -> Result<DrvResult, anasim::Error> {
-    let _span = obs::span("drv_ds");
-    let hi_bound = opts.max_supply.unwrap_or(instance.pvt.vdd);
-    let mut inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
-    let mut inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
-    inv_s.set_retry(opts.retry);
-    inv_sb.set_retry(opts.retry);
-    let mut evaluations = 0usize;
-    let mut snm_at = |supply: f64, evals: &mut usize| -> Result<f64, anasim::Error> {
-        *evals += 1;
-        let vtc_s = inv_s.vtc(supply, opts.vtc_points)?;
-        let vtc_sb = inv_sb.vtc(supply, opts.vtc_points)?;
-        Ok(bit.lobe(&crate::snm::snm_from_vtcs(&vtc_s, &vtc_sb)))
-    };
+    DrvSearch::new(instance, opts)?.lobe(bit)
+}
 
-    let snm_hi = snm_at(hi_bound, &mut evaluations)?;
-    if snm_hi <= opts.snm_floor {
-        obs::hist_record("sram.drv.evaluations", evaluations as f64);
-        return Ok(DrvResult {
-            drv: hi_bound,
-            snm_at_max: snm_hi,
-            evaluations,
-        });
-    }
-    let mut lo = 0.002; // effectively zero supply
-    let mut hi = hi_bound;
-    while hi - lo > opts.tolerance {
-        let mid = 0.5 * (lo + hi);
-        if snm_at(mid, &mut evaluations)? > opts.snm_floor {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    obs::hist_record("sram.drv.evaluations", evaluations as f64);
-    Ok(DrvResult {
-        drv: hi,
-        snm_at_max: snm_hi,
-        evaluations,
-    })
+/// Finds both retention voltages, `(DRV_DS1, DRV_DS0)`, in one search.
+///
+/// Each lobe runs the same bisection as [`drv_ds`], `One` first, and
+/// the results are bit-identical to two [`drv_ds`] calls; the `Zero`
+/// search reuses every butterfly the `One` search already extracted.
+///
+/// # Errors
+///
+/// Propagates solver failures: the first failing supply of the `One`
+/// search, else of the `Zero` search — the error two [`drv_ds`] calls
+/// would return.
+pub fn drv_ds_both(
+    instance: &CellInstance,
+    opts: &DrvOptions,
+) -> Result<(DrvResult, DrvResult), anasim::Error> {
+    let mut search = DrvSearch::new(instance, opts)?;
+    let one = search.lobe(StoredBit::One)?;
+    let zero = search.lobe(StoredBit::Zero)?;
+    Ok((one, zero))
 }
 
 /// The cell's overall deep-sleep retention voltage: the worse (higher)
@@ -157,8 +224,7 @@ pub fn drv_ds(
 ///
 /// Propagates solver failures.
 pub fn drv_ds_worst(instance: &CellInstance, opts: &DrvOptions) -> Result<f64, anasim::Error> {
-    let one = drv_ds(instance, StoredBit::One, opts)?;
-    let zero = drv_ds(instance, StoredBit::Zero, opts)?;
+    let (one, zero) = drv_ds_both(instance, opts)?;
     Ok(one.drv.max(zero.drv))
 }
 
@@ -248,6 +314,22 @@ mod tests {
         let one = drv_ds(&inst, StoredBit::One, &DrvOptions::coarse()).unwrap();
         let zero = drv_ds(&inst, StoredBit::Zero, &DrvOptions::coarse()).unwrap();
         assert!((worst - one.drv.max(zero.drv)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn both_lobes_extract_each_shared_probe_once() {
+        // The symmetric cell's lobes open and close together, so the
+        // Zero bisection visits exactly the One bisection's probes and
+        // takes every butterfly from the memo: 10 extractions for the
+        // pair instead of 20.
+        let inst = CellInstance::symmetric(PvtCondition::nominal());
+        let opts = DrvOptions::coarse();
+        let one = drv_ds(&inst, StoredBit::One, &opts).unwrap();
+        let zero = drv_ds(&inst, StoredBit::Zero, &opts).unwrap();
+        let (both_one, both_zero) = drv_ds_both(&inst, &opts).unwrap();
+        assert_eq!((one.evaluations, zero.evaluations), (10, 10));
+        assert_eq!((both_one.evaluations, both_zero.evaluations), (10, 0));
+        assert_eq!((both_one.drv, both_zero.drv), (one.drv, zero.drv));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod vtc;
 pub use array::{ArrayGeometry, CellArray, CellLocation};
 pub use array_netlist::{ActiveCell, ArrayNetlist, ArraySpec, Parasitics};
 pub use cell::{CellDesign, CellInstance, CellTransistor, MismatchPattern};
-pub use drv::{drv_ds, drv_ds_worst, DrvOptions, DrvResult, StoredBit};
+pub use drv::{drv_ds, drv_ds_both, drv_ds_worst, DrvOptions, DrvResult, StoredBit};
 pub use leakage::{ArrayLoad, CellPopulation, KahanSum};
 pub use memory::{
     DsConditions, ElectricalRetention, MemoryError, RetentionPolicy, SramDevice, TableRetention,

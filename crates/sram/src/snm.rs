@@ -40,14 +40,18 @@ impl ButterflySnm {
 /// Number of 45°-line offsets scanned per lobe.
 const OFFSET_STEPS: usize = 96;
 
-/// Root of a strictly-decreasing sampled function `f(grid[i]) = fs[i]`,
-/// by scanning for the sign change and interpolating linearly.
-fn falling_root(grid: &[f64], fs: &[f64]) -> Option<f64> {
+/// Root of the strictly-decreasing sampled function
+/// `f(grid[i]) = samples[i] + shift`, by scanning for the sign change
+/// and interpolating linearly.
+fn falling_root(grid: &[f64], samples: &[f64], shift: f64) -> Option<f64> {
+    let mut prev = samples[0] + shift;
     for i in 1..grid.len() {
-        if fs[i - 1] >= 0.0 && fs[i] < 0.0 {
-            let t = fs[i - 1] / (fs[i - 1] - fs[i]);
+        let f = samples[i] + shift;
+        if prev >= 0.0 && f < 0.0 {
+            let t = prev / (prev - f);
             return Some(grid[i - 1] + t * (grid[i] - grid[i - 1]));
         }
+        prev = f;
     }
     None
 }
@@ -56,14 +60,17 @@ fn falling_root(grid: &[f64], fs: &[f64]) -> Option<f64> {
 ///
 /// `vtc_sb` is the curve of the inverter driving SB (input S); `vtc_s`
 /// of the inverter driving S (input SB). Both must be sampled over the
-/// same `[0, supply]` range.
+/// same `[0, supply]` range; their grids may differ (the scan runs on
+/// `vtc_sb`'s).
+///
+/// Each curve is sampled once, as its height above the diagonal; a
+/// 45° line `y = x + c` then only shifts those samples by `c`.
 pub fn snm_from_vtcs(vtc_s: &Vtc, vtc_sb: &Vtc) -> ButterflySnm {
-    let supply = *vtc_sb.inputs().last().expect("vtc is never empty");
     let grid = vtc_sb.inputs();
-
-    // Pre-sample curve B's defining function over the same grid.
-    let eval_a = |x: f64| vtc_sb.eval(x);
-    let eval_b = |y: f64| vtc_s.eval(y);
+    let supply = *grid.last().expect("vtc is never empty");
+    // Curve A: VTC_sb(x) − x. Curve B: VTC_s(y) − y.
+    let above_a: Vec<f64> = grid.iter().map(|&x| vtc_sb.eval(x) - x).collect();
+    let above_b: Vec<f64> = grid.iter().map(|&y| vtc_s.eval(y) - y).collect();
 
     let mut best1 = 0.0f64;
     let mut best0 = 0.0f64;
@@ -72,15 +79,14 @@ pub fn snm_from_vtcs(vtc_s: &Vtc, vtc_sb: &Vtc) -> ButterflySnm {
         if c == 0.0 {
             continue;
         }
-        // Intersection with curve A: f(x) = VTC_sb(x) − x − c.
-        let fa: Vec<f64> = grid.iter().map(|&x| eval_a(x) - x - c).collect();
-        let Some(x1) = falling_root(grid, &fa) else {
+        // Intersection with curve A: f(x) = VTC_sb(x) − x − c (IEEE
+        // `a + (−c)` is `a − c` bit for bit).
+        let Some(x1) = falling_root(grid, &above_a, -c) else {
             continue;
         };
         // Intersection with curve B: g(y) = VTC_s(y) − y + c, then
         // x2 = y2 − c.
-        let gb: Vec<f64> = grid.iter().map(|&y| eval_b(y) - y + c).collect();
-        let Some(y2) = falling_root(grid, &gb) else {
+        let Some(y2) = falling_root(grid, &above_b, c) else {
             continue;
         };
         let x2 = y2 - c;
