@@ -38,7 +38,8 @@ pub enum Error {
     /// The Newton iteration failed to converge even after gmin and source
     /// stepping.
     NoConvergence {
-        /// Number of iterations spent in the last attempt.
+        /// Newton iterations the solve spent, across every rung and
+        /// attempt.
         iterations: usize,
         /// Residual infinity-norm at the point of giving up.
         residual: f64,
@@ -61,8 +62,8 @@ pub enum Error {
     },
     /// The point's solve budget ([`crate::newton::SolveBudget`]) ran
     /// out before the rescue ladder finished: either too many total
-    /// Newton iterations or too much wall-clock was spent across
-    /// attempts.
+    /// Newton iterations or too much wall-clock was spent across its
+    /// rungs and attempts.
     BudgetExceeded {
         /// Newton iterations burned across all attempts so far.
         iterations: usize,
@@ -75,8 +76,8 @@ pub enum Error {
 
 impl Error {
     /// Whether a retry with escalated solver options
-    /// ([`crate::newton::RetryPolicy`]) can plausibly rescue this
-    /// failure.
+    /// ([`crate::newton::solve_with_retry_in`]) can plausibly rescue
+    /// this failure.
     ///
     /// Convergence failures and singular matrices are retryable: both
     /// can be artifacts of the iteration (a bad starting point, a

@@ -152,11 +152,13 @@ impl Default for ArraySolveOptions {
 
 /// DC-solves a partitioned array netlist, through the block-Schur
 /// reduction or the monolithic fallback per
-/// [`ArraySolveOptions::schur`].
+/// [`ArraySolveOptions::schur`]. Either way the solve runs the same
+/// escalating rescue ladder, budget, `obs` accounting and flight
+/// recorder as [`crate::newton::solve_with_retry_in`].
 ///
 /// # Errors
 ///
-/// As [`crate::newton::solve_with_scratch`]; additionally
+/// As [`crate::newton::solve_with_retry_in`]; additionally
 /// [`Error::InvalidPartition`] when the partition does not describe
 /// this netlist (wrong dimension, or a device couples two blocks).
 pub fn solve_array(
@@ -166,18 +168,14 @@ pub fn solve_array(
     x0: Option<&[f64]>,
     scratch: &mut SolveScratch,
 ) -> Result<Solution, Error> {
-    if opts.schur {
-        crate::newton::solve_partitioned_with_scratch(
-            netlist,
-            &opts.newton,
-            x0,
-            AnalysisMode::Dc,
-            scratch,
-            partition,
-        )
-    } else {
-        crate::newton::solve_with_scratch(netlist, &opts.newton, x0, AnalysisMode::Dc, scratch)
-    }
+    crate::newton::solve_escalating(
+        netlist,
+        &opts.newton,
+        x0,
+        AnalysisMode::Dc,
+        scratch,
+        opts.schur.then_some(partition),
+    )
 }
 
 /// Where one global unknown lives in the partitioned layout.
@@ -782,8 +780,8 @@ mod tests {
                 "unknown {i}: monolithic {m} vs schur {s}"
             );
         }
-        let c = schur_scratch.counters;
-        assert_eq!(c.schur_interface_unknowns, 7, "{c:?}"); // supply, rail, branch, 2 active cells
+        // supply, rail, branch, 2 active cells
+        assert_eq!(schur_scratch.schur_interface_unknowns(), Some(7));
     }
 
     #[test]
@@ -846,17 +844,21 @@ mod tests {
 
     #[test]
     fn singular_block_reports_the_global_unknown() {
-        // One floating two-node block: no device at all, so its B block
-        // is all-zero and the first factor must die at the block start.
+        // A block of two parallel voltage sources' branch currents: their
+        // branch rows carry no branch-current entries, so the block's B
+        // is all-zero and every factor dies at the block start. No gmin
+        // shunt reaches branch rows, so the escalation cannot rescue it.
         let mut nl = Netlist::new();
         let a = nl.node("a");
-        nl.vsource("V", a, Netlist::GND, 1.0);
-        nl.resistor("R", a, Netlist::GND, 1.0e3).expect("valid");
         let f1 = nl.node("f1");
         let f2 = nl.node("f2");
-        let _ = (f1, f2);
-        let partition =
-            Partition::new(nl.num_unknowns(), vec![(f1.index() - 1, 2)]).expect("valid");
+        nl.vsource("V", a, Netlist::GND, 1.0);
+        nl.resistor("R", a, Netlist::GND, 1.0e3).expect("valid");
+        nl.resistor("Rf", f2, Netlist::GND, 1.0e3).expect("valid");
+        nl.vsource("V1", f1, f2, 1.0);
+        nl.vsource("V2", f1, f2, 1.0);
+        let v1 = nl.branch_unknown("V1").expect("source branch");
+        let partition = Partition::new(nl.num_unknowns(), vec![(v1, 2)]).expect("valid");
         let mut scratch = SolveScratch::new();
         let err = solve_array(
             &nl,
@@ -868,10 +870,15 @@ mod tests {
             None,
             &mut scratch,
         )
-        .expect_err("floating block is singular");
+        .expect_err("a voltage-source loop is singular");
         match err {
-            Error::SingularMatrix { pivot_row, .. } => {
-                assert_eq!(pivot_row, f1.index() - 1, "{err}")
+            Error::SingularMatrix {
+                pivot_row,
+                ref unknown,
+            } => {
+                assert_eq!(pivot_row, v1, "{err}");
+                let label = unknown.as_deref().expect("newton names the unknown");
+                assert!(label.contains("`V1`"), "{err}");
             }
             other => panic!("expected SingularMatrix, got {other}"),
         }

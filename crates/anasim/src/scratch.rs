@@ -1,6 +1,6 @@
 //! Reusable solver workspace: every buffer the Newton loop needs,
 //! allocated once and recycled across iterations, continuation stages,
-//! rescue rungs, retry attempts — and, when the caller threads one
+//! rescue rungs, escalation attempts — and, when the caller threads one
 //! through, across whole campaigns of solves.
 
 use crate::error::Error;
@@ -13,7 +13,7 @@ use crate::sparse::SparseLu;
 
 /// Per-solve fast-path accounting, accumulated while the Newton loop
 /// runs and flushed to the `obs` counters (`rank1.{applied,fallback}`,
-/// `schur.*`) once per retry-ladder solve, keeping the per-iteration
+/// `schur.*`) once per escalation attempt, keeping the per-iteration
 /// hot path free of atomics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveCounters {
@@ -28,7 +28,7 @@ pub struct SolveCounters {
     pub rank1_fallback: u64,
     /// Order of the reduced interface system of the most recent
     /// partitioned solve (assigned, not accumulated — deterministic
-    /// across retry-ladder attempts).
+    /// across escalation attempts).
     pub schur_interface_unknowns: u64,
 }
 
@@ -165,9 +165,10 @@ impl SolveScratch {
     }
 
     /// Flushes the accumulated fast-path counters to the `obs` layer
-    /// (`rank1.*`, `schur.*`). Exposed for callers
-    /// that drive [`crate::schur::solve_array`] directly instead of
-    /// going through the retry ladder, which flushes per attempt.
+    /// (`rank1.*`, `schur.*`). The escalating solves flush per attempt,
+    /// so only callers of the single-attempt
+    /// [`solve_with_scratch`](crate::newton::solve_with_scratch) have
+    /// anything left to flush.
     pub fn flush_obs_counters(&mut self) {
         crate::newton::flush_fast_path_counters(self);
     }

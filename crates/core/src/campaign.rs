@@ -7,8 +7,8 @@
 //! keep going:
 //!
 //! * [`PointFailure`] — a structured record of one grid point that
-//!   stayed unsolved after the full [`anasim::RetryPolicy`] escalation
-//!   ladder;
+//!   stayed unsolved after the solver's full escalation
+//!   ([`anasim::newton::solve_with_retry_in`]);
 //! * [`Coverage`] — attempted/completed accounting rendered as the
 //!   completeness percentage of a partial table;
 //! * [`Checkpoint`] — an append-only tab-separated log of completed
@@ -77,8 +77,8 @@ pub struct PointFailure {
     pub pvt: Option<PvtCondition>,
     /// The terminal solver error.
     pub error: anasim::Error,
-    /// Solve attempts spent before giving up (the retry ladder's
-    /// budget); 0 when the point was rejected by the ERC pre-flight
+    /// Solve attempts spent before giving up (the escalation's
+    /// [`anasim::ESCALATION_ATTEMPTS`]); 0 when the point was rejected by the ERC pre-flight
     /// gate before any solve was tried.
     pub attempts: usize,
     /// Whether this failure records a *panic* caught by the executor's

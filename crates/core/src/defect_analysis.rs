@@ -406,7 +406,7 @@ pub fn table2(options: &Table2Options) -> Result<Table2, anasim::Error> {
             }
             Err(e) if e.is_recordable() => {
                 let attempts = if e.is_retryable() {
-                    options.drv.retry.max_attempts
+                    anasim::ESCALATION_ATTEMPTS
                 } else {
                     0
                 };
@@ -652,7 +652,7 @@ fn evaluate_cell(
                             iterations: 0,
                             residual: f64::INFINITY,
                         },
-                        options.characterize.retry.max_attempts,
+                        anasim::ESCALATION_ATTEMPTS,
                     ));
                     continue;
                 }
@@ -735,7 +735,7 @@ fn evaluate_cell(
                         // Pre-flight rejections never reach the
                         // solver, so no attempts were spent.
                         let attempts = if e.is_retryable() {
-                            options.characterize.retry.max_attempts
+                            anasim::ESCALATION_ATTEMPTS
                         } else {
                             0
                         };

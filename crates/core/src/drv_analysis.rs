@@ -242,7 +242,7 @@ pub fn fig4(options: &Fig4Options) -> Result<Fig4Data, anasim::Error> {
                     Err(e) if e.is_recordable() => {
                         coverage.record_failure();
                         let attempts = if e.is_retryable() {
-                            options.drv.retry.max_attempts
+                            anasim::ESCALATION_ATTEMPTS
                         } else {
                             0
                         };

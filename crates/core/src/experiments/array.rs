@@ -209,7 +209,7 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
                 .filter(|(_, &ok)| !ok)
                 .map(|(i, _)| (i / options.cols, i % options.cols))
                 .collect();
-            let row = ArrayRetentionRow {
+            Ok(ArrayRetentionRow {
                 scenario: scenario.name.clone(),
                 supply: *supply,
                 unknowns: built.netlist.num_unknowns(),
@@ -220,9 +220,7 @@ pub fn run(options: &ArrayRetentionOptions) -> Result<ArrayRetentionReport, anas
                 cells: grid.len(),
                 flipped,
                 rail_droop: *supply - sol.voltage(built.vdd_rail),
-            };
-            scratch.flush_obs_counters();
-            Ok(row)
+            })
         },
         |_, _| {},
     );

@@ -209,7 +209,7 @@ pub fn run(options: &Table1Options) -> Result<Table1Report, anasim::Error> {
                 Err(e) if e.is_recordable() => {
                     coverage.record_failure();
                     let attempts = if e.is_retryable() {
-                        options.drv.retry.max_attempts
+                        anasim::ESCALATION_ATTEMPTS
                     } else {
                         0
                     };

@@ -172,7 +172,7 @@ pub fn monte_carlo_drv(options: &MonteCarloOptions) -> Result<MonteCarloReport, 
             Err(e) if e.is_recordable() => {
                 coverage.record_failure();
                 let attempts = if e.is_retryable() {
-                    options.drv.retry.max_attempts
+                    anasim::ESCALATION_ATTEMPTS
                 } else {
                     0
                 };

@@ -185,7 +185,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 return Err(e.clone());
             }
             let attempts = if e.is_retryable() {
-                options.drv.retry.max_attempts
+                anasim::ESCALATION_ATTEMPTS
             } else {
                 0
             };
@@ -280,7 +280,7 @@ pub fn build_coverage(options: &CoverageOptions) -> Result<CoverageMatrix, anasi
                 Ok(found) => Ok(Entry::Done(found.ohms)),
                 Err(e) if e.is_recordable() => {
                     let attempts = if e.is_retryable() {
-                        options.characterize.retry.max_attempts
+                        anasim::ESCALATION_ATTEMPTS
                     } else {
                         0
                     };

@@ -8,7 +8,7 @@ use sram::retention::retention_outcome;
 use sram::{ArrayLoad, CellInstance};
 
 use crate::defect::{Defect, DefectCategory};
-use crate::solve::activation_transient_with_retry;
+use crate::solve::activation_transient;
 use crate::topology::{FeedMode, RegulatorCircuit, RegulatorDesign, VrefTap, OPEN_THRESHOLD_OHMS};
 
 /// Tuning of the characterization sweep.
@@ -29,9 +29,6 @@ pub struct CharacterizeOptions {
     pub transient_dt: f64,
     /// Window simulated for activation transients, seconds.
     pub transient_window: f64,
-    /// Solver escalation on non-converged points (the full ladder by
-    /// default; [`anasim::RetryPolicy::none`] for ablations).
-    pub retry: anasim::RetryPolicy,
     /// Run the static ERC pre-flight gate before the first solve of a
     /// search ([`RegulatorCircuit::preflight`]). On by default: a
     /// structurally broken netlist is then rejected with a named-node
@@ -70,7 +67,6 @@ impl Default for CharacterizeOptions {
             ds_time: 1.0e-3,
             transient_dt: 4.0e-6,
             transient_window: 1.0e-3,
-            retry: anasim::RetryPolicy::ladder(),
             preflight: true,
             chain_seeds: true,
             rank1: true,
@@ -154,7 +150,6 @@ pub fn drf_at(
         drf_at_transient(design, pvt, tap, defect, ohms, load, criterion, opts)
     } else {
         let mut circuit = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-        circuit.set_retry(opts.retry);
         circuit.set_rank1(opts.rank1);
         if opts.preflight {
             circuit.preflight()?;
@@ -192,7 +187,7 @@ fn drf_at_transient(
     criterion: &DrfCriterion<'_>,
     opts: &CharacterizeOptions,
 ) -> Result<(bool, f64), anasim::Error> {
-    let wave = activation_transient_with_retry(
+    let wave = activation_transient(
         design,
         pvt,
         tap,
@@ -201,7 +196,6 @@ fn drf_at_transient(
         load,
         opts.transient_window,
         opts.transient_dt,
-        opts.retry,
     )?;
     let v_min = wave.min_vddcc();
     if v_min >= criterion.drv {
@@ -248,7 +242,6 @@ pub fn healthy_seed(
 ) -> Result<Vec<f64>, anasim::Error> {
     let _span = obs::span("healthy_seed");
     let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-    c.set_retry(opts.retry);
     c.set_rank1(opts.rank1);
     c.solve(load)?;
     Ok(c.warm_state()
@@ -312,7 +305,6 @@ pub fn min_resistance_seeded(
         None
     } else {
         let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-        c.set_retry(opts.retry);
         c.set_rank1(opts.rank1);
         if let Some(state) = seed {
             if c.seed_warm(state) {
@@ -497,13 +489,12 @@ pub fn classify_at_tap(
     let _span = obs::span("classify_at_tap");
     let healthy = {
         let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-        c.set_retry(opts.retry);
         c.set_rank1(opts.rank1);
         c.solve(load)?.vddcc
     };
     let probe = |ohms: f64| -> Result<f64, anasim::Error> {
         if defect.is_transient_mechanism() {
-            Ok(activation_transient_with_retry(
+            Ok(activation_transient(
                 design,
                 pvt,
                 tap,
@@ -512,12 +503,10 @@ pub fn classify_at_tap(
                 load,
                 opts.transient_window,
                 opts.transient_dt,
-                opts.retry,
             )?
             .min_vddcc())
         } else {
             let mut c = RegulatorCircuit::new(design, pvt, tap, FeedMode::Static)?;
-            c.set_retry(opts.retry);
             c.set_rank1(opts.rank1);
             c.inject(defect, ohms);
             Ok(c.solve(load)?.vddcc)

@@ -503,12 +503,6 @@ impl RegulatorCircuit {
         self.nl.set_param(self.defects[defect.index()], ohms);
     }
 
-    /// Replaces the DC solver's retry policy (the escalation ladder by
-    /// default; [`anasim::RetryPolicy::none`] for ablation runs).
-    pub fn set_retry(&mut self, retry: anasim::RetryPolicy) {
-        self.dc = self.dc.clone().with_retry(retry);
-    }
-
     /// Enables or disables the DC solver's rank-1/chord fast path.
     /// Bisection sweeps over this circuit change one or two resistor
     /// parameters per solve — exactly the Woodbury-update shape — so

@@ -47,9 +47,6 @@ pub struct DrvOptions {
     /// SNM below this threshold counts as collapsed; a small positive
     /// floor absorbs interpolation noise near the bifurcation.
     pub snm_floor: f64,
-    /// Solver escalation on non-converged VTC points (the full ladder
-    /// by default; [`anasim::RetryPolicy::none`] for ablations).
-    pub retry: anasim::RetryPolicy,
 }
 
 impl Default for DrvOptions {
@@ -59,7 +56,6 @@ impl Default for DrvOptions {
             vtc_points: 61,
             max_supply: None,
             snm_floor: 1.0e-4,
-            retry: anasim::RetryPolicy::ladder(),
         }
     }
 }
@@ -107,10 +103,8 @@ struct DrvSearch<'a> {
 
 impl<'a> DrvSearch<'a> {
     fn new(instance: &CellInstance, opts: &'a DrvOptions) -> Result<Self, anasim::Error> {
-        let mut inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
-        let mut inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
-        inv_s.set_retry(opts.retry);
-        inv_sb.set_retry(opts.retry);
+        let inv_s = InverterCircuit::new(instance, CellInverter::DrivesS)?;
+        let inv_sb = InverterCircuit::new(instance, CellInverter::DrivesSb)?;
         Ok(DrvSearch {
             opts,
             hi_bound: opts.max_supply.unwrap_or(instance.pvt.vdd),

@@ -190,12 +190,6 @@ impl InverterCircuit {
         })
     }
 
-    /// Replaces the DC solver's retry policy (the escalation ladder by
-    /// default; [`anasim::RetryPolicy::none`] for ablation runs).
-    pub fn set_retry(&mut self, retry: anasim::RetryPolicy) {
-        self.dc = self.dc.clone().with_retry(retry);
-    }
-
     /// Extracts the VTC at the given supply with `points` samples over
     /// `[0, supply]`.
     ///

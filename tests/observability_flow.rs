@@ -15,8 +15,8 @@ use lp_sram_suite::obs;
 
 use anasim::devices::mosfet::MosParams;
 use anasim::mna::AnalysisMode;
-use anasim::newton::{solve_with_retry, RetryPolicy, SolveBudget};
-use anasim::{Netlist, NewtonOptions};
+use anasim::newton::solve_with_retry_in;
+use anasim::{Netlist, NewtonOptions, SolveBudget, SolveScratch};
 use drftest::campaign::PointTimer;
 use drftest::experiments::table2;
 use drftest::Table2Options;
@@ -166,12 +166,12 @@ fn budget_exhausted_point_trajectory_lands_in_the_summary() {
     .expect("library NMOS card validates");
     let opts = NewtonOptions {
         max_iterations: 3,
+        budget: SolveBudget::iterations(3),
         ..NewtonOptions::plain()
     };
-    let policy = RetryPolicy::ladder().with_budget(SolveBudget::iterations(3));
 
     let timer = PointTimer::start("df16/cs1 @ tt, 0.30V, 25°C");
-    let err = solve_with_retry(&nl, &opts, None, AnalysisMode::Dc, &policy)
+    let err = solve_with_retry_in(&nl, &opts, None, AnalysisMode::Dc, &mut SolveScratch::new())
         .expect_err("starved budget must trip");
     assert!(matches!(err, anasim::Error::BudgetExceeded { .. }));
     timer.finish_failed("budget-exhausted");
